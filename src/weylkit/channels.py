@@ -35,9 +35,10 @@ from .numerics import (
     matrix_from_object,
     matrix_to_json,
     parse_json_document,
+    require_int_field,
     validate_density_matrix,
 )
-from .weyl import weyl_element
+from .weyl import weyl_basis
 
 __all__ = [
     "QuantumChannel",
@@ -60,6 +61,11 @@ __all__ = [
 class QuantumChannel:
     """An ordered list of d x d Kraus operators.
 
+    ``kraus`` may be given as a sequence of matrices or as one (m, d, d)
+    array.  The operators are copied into the read-only (m, d, d) array
+    ``stack``, which the kernels in this module work on; ``kraus`` becomes
+    the tuple of its (read-only) slices.
+
     The constructor checks shapes only; the factory functions in this module
     produce trace-preserving lists by construction, and
     :func:`is_trace_preserving` measures the deficit of any list, so
@@ -68,27 +74,32 @@ class QuantumChannel:
 
     d: int
     kraus: tuple = field(repr=False)
+    stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.d < 2:
-            raise DomainError(f"channel dimension must be >= 2, got {self.d}")
-        ops = tuple(as_matrix(e) for e in self.kraus)
-        if not ops:
+        d = self.d
+        if d < 2:
+            raise DomainError(f"channel dimension must be >= 2, got {d}")
+        ops = self.kraus
+        if not (isinstance(ops, np.ndarray) and ops.ndim == 3):
+            ops = [as_matrix(e) for e in ops]
+        if not len(ops):
             raise DomainError("a channel needs at least one Kraus operator")
-        for e in ops:
-            if e.shape != (self.d, self.d):
-                raise ShapeError(f"Kraus operators must be {self.d} x {self.d}, got {e.shape}")
-            if not np.all(np.isfinite(e)):
-                raise ValidationError("Kraus operator contains non-finite entries")
-        frozen = []
-        for e in ops:
-            e = e.copy()
-            e.setflags(write=False)
-            frozen.append(e)
-        object.__setattr__(self, "kraus", tuple(frozen))
+        # Operators are checked up to the first one of the wrong shape, so a
+        # non-finite operator before it is reported first, as in a scan of
+        # the list one operator at a time.
+        n = next((i for i, e in enumerate(ops) if e.shape != (d, d)), len(ops))
+        stack = np.array(ops[:n], dtype=np.complex128)
+        if not np.isfinite(stack).all():
+            raise ValidationError("Kraus operator contains non-finite entries")
+        if n < len(ops):
+            raise ShapeError(f"Kraus operators must be {d} x {d}, got {ops[n].shape}")
+        stack.setflags(write=False)
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "kraus", tuple(stack))
 
     def __len__(self) -> int:
-        return len(self.kraus)
+        return len(self.stack)
 
 
 def kraus_from_isometry(v, *, tol: Tolerances = DEFAULT_TOLERANCES) -> QuantumChannel:
@@ -111,18 +122,23 @@ def kraus_from_isometry(v, *, tol: Tolerances = DEFAULT_TOLERANCES) -> QuantumCh
             f"input is not an isometry: ||V^dagger V - I||_F = {gram_defect:.3e} "
             f"exceeds {tol.norm:.3e}"
         )
-    slices = v.reshape(d, d * d, d)  # [r, m, c]
-    ops = [slices[:, m, :] for m in range(d * d)]
-    kept = [e for e in ops if np.linalg.norm(e) >= tol.prune]
-    if not kept:
-        kept = [ops[0]]
-    return QuantumChannel(d=d, kraus=tuple(kept))
+    ops = v.reshape(d, d * d, d).transpose(1, 0, 2)  # [m, r, c]
+    keep = np.linalg.norm(ops, axis=(1, 2)) >= tol.prune
+    if not keep.any():
+        keep[0] = True
+    return QuantumChannel(d=d, kraus=ops[keep])
+
+
+def _dagger(stack: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of every matrix in an (m, d, d) stack."""
+    return stack.conj().transpose(0, 2, 1)
 
 
 def apply_channel(ch: QuantumChannel, rho, *, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     """Evolve a density matrix: ``sum_m E_m rho E_m^dagger``.
 
-    The Kraus sum is accumulated in list order, so results are deterministic.
+    The Kraus sum is accumulated in list order (a reduction over the first
+    axis of the stack), so results are deterministic.
     The output is validated as a density matrix; a failure there means a
     non-trace-preserving or non-positive operator list slipped past
     construction and is reported as such.
@@ -130,9 +146,8 @@ def apply_channel(ch: QuantumChannel, rho, *, tol: Tolerances = DEFAULT_TOLERANC
     rho = validate_density_matrix(rho, tol=tol)
     if rho.shape[0] != ch.d:
         raise ShapeError(f"state dimension {rho.shape[0]} does not match channel dimension {ch.d}")
-    out = np.zeros((ch.d, ch.d), dtype=np.complex128)
-    for e in ch.kraus:
-        out += e @ rho @ e.conj().T
+    k = ch.stack
+    out = (k @ rho @ _dagger(k)).sum(axis=0)
     try:
         return validate_density_matrix(out, tol=tol)
     except ValidationError as exc:
@@ -146,18 +161,14 @@ def is_trace_preserving(ch: QuantumChannel, *, tol: Tolerances = DEFAULT_TOLERAN
     below ``tol.cptp``.  The dual condition (unitality) is measured
     separately by :func:`unitality_deficit`.
     """
-    acc = np.zeros((ch.d, ch.d), dtype=np.complex128)
-    for e in ch.kraus:
-        acc += e.conj().T @ e
+    acc = (_dagger(ch.stack) @ ch.stack).sum(axis=0)
     deficit = frobenius_distance(acc, np.eye(ch.d))
     return deficit < tol.cptp, deficit
 
 
 def unitality_deficit(ch: QuantumChannel) -> float:
     """``||sum_m E_m E_m^dagger - I||_F``; zero iff the channel fixes I/d."""
-    acc = np.zeros((ch.d, ch.d), dtype=np.complex128)
-    for e in ch.kraus:
-        acc += e @ e.conj().T
+    acc = (ch.stack @ _dagger(ch.stack)).sum(axis=0)
     return frobenius_distance(acc, np.eye(ch.d))
 
 
@@ -166,32 +177,31 @@ def weyl_channel(weights, *, tol: Tolerances = DEFAULT_TOLERANCES) -> QuantumCha
 
     ``weights`` is a (d, d) real table, nonnegative and summing to 1, which
     makes the channel exactly trace-preserving since every Weyl element is
-    unitary.  Zero-weight elements are omitted.  The uniform table
-    ``p = 1/d**2`` gives the completely depolarizing channel
-    ``rho -> I/d``.
+    unitary.  Non-finite weights are rejected and zero-weight elements are
+    omitted.  The uniform table ``p = 1/d**2`` gives the completely
+    depolarizing channel ``rho -> I/d``.
     """
     p = np.asarray(weights)
     if np.iscomplexobj(p):
-        if np.max(np.abs(p.imag)) > tol.norm:
+        if not np.max(np.abs(p.imag)) <= tol.norm:
             raise DomainError("weights must be real")
         p = p.real
     p = p.astype(np.float64)
     if p.ndim != 2 or p.shape[0] != p.shape[1] or p.shape[0] < 2:
         raise ShapeError(f"weights must be a square (d, d) table with d >= 2, got {p.shape}")
+    if not np.all(np.isfinite(p)):
+        raise DomainError("weights must be finite")
     if np.any(p < 0):
         raise DomainError(f"weights must be nonnegative, got minimum {p.min()!r}")
     total = float(p.sum())
     if abs(total - 1.0) > tol.norm:
         raise DomainError(f"weights must sum to 1 within {tol.norm}, got {total!r}")
     d = p.shape[0]
-    ops = []
-    for l in range(d):
-        for k in range(d):
-            if np.sqrt(p[l, k] * d) >= tol.prune:
-                ops.append(np.sqrt(p[l, k]) * weyl_element(d, l, k))
-    if not ops:
+    keep = (np.sqrt(p * d) >= tol.prune).ravel()
+    if not keep.any():
         raise DomainError("all weights prune to zero")
-    return QuantumChannel(d=d, kraus=tuple(ops))
+    ops = np.sqrt(p.ravel()[keep])[:, None, None] * weyl_basis(d).elements[keep]
+    return QuantumChannel(d=d, kraus=ops)
 
 
 def channel_from_dilation(g: GammaTable, *, tol: Tolerances = DEFAULT_TOLERANCES) -> QuantumChannel:
@@ -209,17 +219,14 @@ def choi_matrix(ch: QuantumChannel) -> np.ndarray:
     """Choi matrix ``J = sum_{i,j} Channel(|i><j|) (x) |i><j|`` (d**2 x d**2).
 
     Computed as ``sum_m vec(E_m) vec(E_m)^dagger`` with row-outer vec, which
-    places the system-output factor on the left.  J is Hermitian and
+    places the system-output factor on the left: one product ``K^T conj(K)``
+    of the (m, d**2) matrix K whose rows are the vecs.  J is Hermitian and
     positive semidefinite; its trace equals d exactly when the channel is
     trace-preserving, and it is invariant under unitary mixing of the Kraus
     list.
     """
-    n = ch.d * ch.d
-    j = np.zeros((n, n), dtype=np.complex128)
-    for e in ch.kraus:
-        v = e.ravel(order="C")
-        j += np.outer(v, v.conj())
-    return j
+    k = ch.stack.reshape(len(ch), ch.d * ch.d)
+    return k.T @ k.conj()
 
 
 def channels_equal(a: QuantumChannel, b: QuantumChannel, tol: float) -> bool:
@@ -247,9 +254,7 @@ def channel_to_json(ch: QuantumChannel) -> str:
 def json_to_channel(text: str, what: str = "channel") -> QuantumChannel:
     """Parse a channel document; shapes are validated, completeness is not."""
     doc = parse_json_document(text, what)
-    d = doc.get("d")
-    if not isinstance(d, int) or isinstance(d, bool) or d < 2:
-        raise ParseError(f"{what}: field 'd' must be an integer >= 2, got {d!r}")
+    d = require_int_field(doc, "d", what, minimum=2)
     raw = doc.get("kraus")
     if not isinstance(raw, list) or not raw:
         raise ParseError(f"{what}: field 'kraus' must be a nonempty list of matrices")
@@ -274,9 +279,7 @@ def kraus_mix(ch: QuantumChannel, u: Sequence[Sequence[complex]]) -> QuantumChan
     exists to exercise exactly that non-uniqueness.
     """
     u = as_matrix(u)
-    m = len(ch.kraus)
+    m = len(ch)
     if u.shape != (m, m):
         raise ShapeError(f"mixing matrix must be {m} x {m}, got {u.shape}")
-    stack = np.stack(ch.kraus)
-    mixed = np.einsum("mn,nij->mij", u, stack)
-    return QuantumChannel(d=ch.d, kraus=tuple(mixed[i] for i in range(m)))
+    return QuantumChannel(d=ch.d, kraus=np.einsum("mn,nij->mij", u, ch.stack))

@@ -47,7 +47,14 @@ from .numerics import (
     vector_to_json,
 )
 from .verify import DEFAULT_SEED, run_verification
-from .weyl import coefficients_to_json, decompose, json_to_coefficients, reconstruct, weyl_element
+from .weyl import (
+    coefficients_to_json,
+    decompose,
+    json_to_coefficients,
+    reconstruct,
+    weyl_basis,
+    weyl_element,
+)
 
 __all__ = ["main", "run"]
 
@@ -146,15 +153,12 @@ def _cmd_basis(args) -> int:
     if args.l is not None:
         _emit_matrix(args, weyl_element(d, args.l, args.k))
         return EXIT_OK
+    elements = weyl_basis(d).elements
     if args.format == "table":
-        blocks = [
-            f"(l={l}, k={k})\n{_matrix_table(weyl_element(d, l, k))}"
-            for l in range(d)
-            for k in range(d)
-        ]
+        blocks = [f"(l={x // d}, k={x % d})\n{_matrix_table(w)}" for x, w in enumerate(elements)]
         _write_text(args.out, "\n\n".join(blocks))
         return EXIT_OK
-    mats = ", ".join(matrix_to_json(weyl_element(d, l, k)) for l in range(d) for k in range(d))
+    mats = ", ".join(matrix_to_json(w) for w in elements)
     _write_text(args.out, f'{{"d": {d}, "order": "l-major", "elements": [{mats}]}}')
     return EXIT_OK
 
@@ -315,7 +319,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         "--tol",
         action="append",
         metavar="NAME=VALUE",
-        help="override a named tolerance (norm, herm, psd, jacobi, cptp, prune); repeatable",
+        help="override a named tolerance (norm, herm, psd, cptp, prune; jacobi is accepted "
+        "and ignored); repeatable",
     )
     p.add_argument(
         "--format",

@@ -31,7 +31,10 @@ class Tolerances:
         Most negative eigenvalue accepted when checking positive
         semidefiniteness.
     jacobi : float
-        Off-diagonal Frobenius mass at which the Jacobi eigenvalue sweep stops.
+        Unused.  It was the stopping threshold of a built-in Jacobi
+        eigensolver; eigenvalues now come from ``numpy.linalg.eigvalsh``.  The
+        name is still accepted (``replace_tolerance``, ``--tol``) so existing
+        settings keep working, and has no effect.
     cptp : float
         Allowed trace-preservation deficit of a quantum channel.  Looser than
         the construction tolerances because it accumulates up to d**2 matrix

@@ -35,16 +35,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .errors import DomainError, ParseError, ShapeError, ValidationError
+from .errors import DomainError, ShapeError, ValidationError
 from .numerics import (
     as_matrix,
     format_complex_pairs,
     parse_complex_pairs,
     parse_json_document,
+    require_int_field,
     validate_density_matrix,
     validate_ket,
 )
-from .weyl import phase_vector, weyl_element
+from .weyl import phase_vector, weyl_basis
 
 __all__ = [
     "GammaTable",
@@ -127,9 +128,7 @@ def json_to_gamma(text: str, *, tol: Tolerances = DEFAULT_TOLERANCES, what: str 
     offending entries can be located without re-deriving them.
     """
     doc = parse_json_document(text, what)
-    d = doc.get("d")
-    if not isinstance(d, int) or isinstance(d, bool) or d < 2:
-        raise ParseError(f"{what}: field 'd' must be an integer >= 2, got {d!r}")
+    d = require_int_field(doc, "d", what, minimum=2)
     entries = parse_complex_pairs(doc.get("gamma"), d * d, what)
     g = entries.reshape(d, d)
     try:
@@ -149,11 +148,10 @@ def make_isometry(g: GammaTable) -> np.ndarray:
     """
     d = g.d
     v = np.zeros((d ** 3, d), dtype=np.complex128)
-    a = np.arange(d)
-    for i in range(d):
-        b = (-i) % d
-        sys_rows = (2 * i + a) % d
-        v[sys_rows * d * d + a * d + b, i] = g.gamma[a, b]
+    a = np.arange(d)[:, None]
+    i = np.arange(d)
+    b = -i % d
+    v[((2 * i + a) % d) * d * d + a * d + b, i] = g.gamma[a, b]
     return v
 
 
@@ -180,27 +178,21 @@ class WeylFormTerm:
     env: np.ndarray = field(repr=False)
 
 
-def _env_vector(g: GammaTable, l: int, k: int) -> np.ndarray:
-    d = g.d
-    z = np.arange(d)
-    v = np.zeros(d * d, dtype=np.complex128)
-    v[((z + l) % d) * d + z] = phase_vector(d, z * k) * g.gamma[(z + l) % d, z]
-    return v
-
-
 def weyl_form_of_joint(psi, g: GammaTable, *, tol: Tolerances = DEFAULT_TOLERANCES) -> list[WeylFormTerm]:
     """All d**2 Weyl-form terms of ``V |psi>``, in l-major order."""
     psi = validate_ket(psi, tol=tol)
     d = g.d
     if psi.shape[0] != d:
         raise ShapeError(f"state dimension {psi.shape[0]} does not match gamma dimension {d}")
-    terms = []
-    for l in range(d):
-        for k in range(d):
-            terms.append(
-                WeylFormTerm(l=l, k=k, sys=weyl_element(d, l, k) @ psi, env=_env_vector(g, l, k))
-            )
-    return terms
+    sys = (weyl_basis(d).elements @ psi).reshape(d, d, d)
+    # env[l, k] has omega**(z*k) * gamma[z + l, z] at environment index (z + l, z).
+    z = np.arange(d)
+    rows = (z + z[:, None]) % d  # rows[l, z] = z + l mod d
+    env = np.zeros((d, d, d * d), dtype=np.complex128)
+    env[z[:, None, None], z[:, None], rows[:, None, :] * d + z] = (
+        phase_vector(d, z[:, None] * z) * g.gamma[rows, z][:, None, :]
+    )
+    return [WeylFormTerm(l=l, k=k, sys=sys[l, k], env=env[l, k]) for l in range(d) for k in range(d)]
 
 
 def env_gram(g: GammaTable) -> np.ndarray:

@@ -3,8 +3,8 @@
 Everything in this package moves through plain ``numpy.ndarray`` values of
 dtype ``complex128``: operators and isometries are 2-d arrays, state vectors
 are 1-d arrays.  This module supplies the arithmetic the other modules build
-on, the structural validators (kets, density matrices), a self-contained
-Hermitian eigensolver, and the JSON matrix file format.
+on, the structural validators (kets, density matrices), Hermitian
+eigenvalues, and the JSON matrix file format.
 
 Conventions fixed here and used everywhere:
 
@@ -157,19 +157,15 @@ def frobenius_distance(a, b) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Hermitian eigenvalues via cyclic Jacobi rotations
-#
-# Matrices here stay small (at most d**3 rows with d <= 32), where the cyclic
-# Jacobi iteration is simple and accurate, and keeps the kernel free of any
-# external eigensolver.
+# Hermitian eigenvalues
 
 
 def hermitian_eigenvalues(a, *, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     """Real spectrum of a Hermitian matrix, ascending.
 
-    Runs cyclic Jacobi sweeps, annihilating one off-diagonal pair per unitary
-    plane rotation, until the off-diagonal Frobenius mass drops below
-    ``tol.jacobi``.
+    The input is checked to be square, finite and Hermitian within
+    ``tol.herm``; the spectrum of its Hermitian part then comes from LAPACK
+    through ``numpy.linalg.eigvalsh``.
 
     Raises
     ------
@@ -186,56 +182,7 @@ def hermitian_eigenvalues(a, *, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndar
             f"matrix is not Hermitian: ||A - A^dagger||_F = {defect:.3e} "
             f"exceeds {tol.herm:.3e}"
         )
-
-    b = (a + a.conj().T) / 2.0  # fold rounding drift before iterating
-    n = b.shape[0]
-    if n == 1:
-        return b.real.diagonal().copy()
-
-    skip = tol.jacobi / (2.0 * n)
-    for _ in range(100):
-        off = float(np.linalg.norm(b - np.diag(np.diagonal(b))))
-        if off <= tol.jacobi:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                _jacobi_rotate(b, p, q, skip)
-    else:
-        raise ValidationError("Jacobi iteration failed to converge in 100 sweeps")
-
-    return np.sort(b.real.diagonal())
-
-
-def _jacobi_rotate(b: np.ndarray, p: int, q: int, skip: float) -> None:
-    """Annihilate b[p, q] in place with a complex plane rotation."""
-    apq = b[p, q]
-    mag = abs(apq)
-    if mag <= skip:
-        return
-    # Phase factor reduces the (p, q) block to a real symmetric one; the real
-    # Jacobi angle then zeroes the off-diagonal element.
-    ph = apq / mag
-    tau = (b[q, q].real - b[p, p].real) / (2.0 * mag)
-    if tau >= 0.0:
-        t = 1.0 / (tau + math.hypot(1.0, tau))
-    else:
-        t = -1.0 / (-tau + math.hypot(1.0, tau))
-    c = 1.0 / math.sqrt(1.0 + t * t)
-    s = t * c
-
-    colp = b[:, p].copy()
-    colq = b[:, q].copy()
-    b[:, p] = c * colp - s * np.conj(ph) * colq
-    b[:, q] = s * colp + c * np.conj(ph) * colq
-    rowp = b[p, :].copy()
-    rowq = b[q, :].copy()
-    b[p, :] = c * rowp - s * ph * rowq
-    b[q, :] = s * rowp + c * ph * rowq
-
-    b[p, q] = 0.0
-    b[q, p] = 0.0
-    b[p, p] = b[p, p].real
-    b[q, q] = b[q, q].real
+    return np.linalg.eigvalsh((a + a.conj().T) / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -359,10 +306,12 @@ def parse_complex_pairs(raw, count: int, what: str) -> np.ndarray:
     return out
 
 
-def _require_positive_int(doc: dict, key: str, what: str) -> int:
+def require_int_field(doc: dict, key: str, what: str, minimum: int = 1) -> int:
+    """Read the integer field ``key`` of a parsed document, requiring ``>= minimum``."""
     value = doc.get(key)
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ParseError(f"{what}: field {key!r} must be a positive integer, got {value!r}")
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        rule = "a positive integer" if minimum == 1 else f"an integer >= {minimum}"
+        raise ParseError(f"{what}: field {key!r} must be {rule}, got {value!r}")
     return value
 
 
@@ -370,8 +319,8 @@ def matrix_from_object(doc: dict, what: str = "matrix") -> np.ndarray:
     """Decode an already-parsed matrix-format object into a complex array."""
     if not isinstance(doc, dict):
         raise ParseError(f"{what}: expected a matrix object, got {type(doc).__name__}")
-    rows = _require_positive_int(doc, "rows", what)
-    cols = _require_positive_int(doc, "cols", what)
+    rows = require_int_field(doc, "rows", what)
+    cols = require_int_field(doc, "cols", what)
     entries = parse_complex_pairs(doc.get("entries"), rows * cols, what)
     return entries.reshape(rows, cols)
 

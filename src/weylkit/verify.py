@@ -9,7 +9,7 @@ check name and dimension.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -17,6 +17,7 @@ from .channels import apply_channel, channel_from_dilation, is_trace_preserving,
 from .dilation import evolve_density, make_isometry, weyl_form_of_joint
 from .errors import DomainError
 from .numerics import (
+    basis_ket,
     frobenius_distance,
     json_to_matrix,
     kron,
@@ -24,7 +25,7 @@ from .numerics import (
     partial_trace_env,
 )
 from .rand import random_complex_matrix, random_density, random_gamma, random_ket
-from .weyl import decompose, reconstruct, weyl_basis, weyl_element
+from .weyl import decompose, gram_matrix, reconstruct, weyl_basis
 
 __all__ = ["CheckResult", "VerifyReport", "run_verification", "DEFAULT_SEED"]
 
@@ -135,11 +136,10 @@ def _checks_for_dim(d, rng, draws, inject_fault):
     basis = weyl_basis(d)
 
     def basis_orthogonality():
-        elements = basis.elements
+        checked = basis
         if inject_fault:
-            elements = _corrupt_one_phase(elements)
-        gram = np.einsum("imn,jmn->ij", elements.conj(), elements)
-        return frobenius_distance(gram, d * np.eye(d * d))
+            checked = replace(basis, elements=_corrupt_one_phase(basis.elements))
+        return frobenius_distance(gram_matrix(checked), d * np.eye(d * d))
 
     yield "basis_orthogonality", basis_orthogonality, 1e-10
 
@@ -156,7 +156,7 @@ def _checks_for_dim(d, rng, draws, inject_fault):
         worst = 0.0
         for a in range(d):
             for b in range(d):
-                xi = decompose(np.outer(_unit(d, a), _unit(d, b).conj()))
+                xi = decompose(np.outer(basis_ket(d, a), basis_ket(d, b).conj()))
                 expected = np.zeros((d, d), dtype=np.complex128)
                 l = (a - b) % d
                 for k in range(d):
@@ -205,8 +205,8 @@ def _checks_for_dim(d, rng, draws, inject_fault):
             pairs = [pairs[i] for i in sorted(keep)]
         worst = 0.0
         for x, y in pairs:
-            wx = weyl_element(d, x // d, x % d)
-            wy = weyl_element(d, y // d, y % d)
+            wx = basis.elements[x]
+            wy = basis.elements[y]
             comm = wx @ wy - wy @ wx
             worst = max(worst, frobenius_distance(reconstruct(decompose(comm)), comm))
         return worst
@@ -243,9 +243,3 @@ def _checks_for_dim(d, rng, draws, inject_fault):
         return worst
 
     yield "weyl_form_consistency", weyl_form_consistency, 1e-10
-
-
-def _unit(d: int, i: int) -> np.ndarray:
-    v = np.zeros(d, dtype=np.complex128)
-    v[i] = 1.0
-    return v

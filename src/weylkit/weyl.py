@@ -23,7 +23,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, ParseError, ShapeError
-from .numerics import as_matrix, format_complex_pairs, parse_complex_pairs, parse_json_document
+from .numerics import (
+    as_matrix,
+    format_complex_pairs,
+    parse_complex_pairs,
+    parse_json_document,
+    require_int_field,
+)
 
 __all__ = [
     "omega",
@@ -144,9 +150,17 @@ class WeylBasis:
 
 
 def weyl_basis(d: int) -> WeylBasis:
-    """Construct the full Weyl-Heisenberg basis for dimension ``d``."""
+    """Construct the full Weyl-Heisenberg basis for dimension ``d``.
+
+    All d**2 elements are written in one indexed assignment; element
+    ``[l * d + k]`` equals ``weyl_element(d, l, k)`` exactly.
+    """
     d = _check_dim(d)
-    elements = np.stack([weyl_element(d, l, k) for l in range(d) for k in range(d)])
+    idx = np.arange(d)
+    w = np.zeros((d, d, d, d), dtype=np.complex128)  # [l, k, row, col]
+    rows = (idx + idx[:, None]) % d  # rows[l, n] = n + l mod d
+    w[idx[:, None, None], idx[:, None], rows[:, None, :], idx] = phase_vector(d, idx[:, None] * idx)
+    elements = w.reshape(d * d, d, d)
     elements.setflags(write=False)
     return WeylBasis(d=d, omega=omega(d), elements=elements)
 
@@ -177,11 +191,16 @@ def reconstruct(xi) -> np.ndarray:
     if xi.ndim != 2 or xi.shape[0] != xi.shape[1]:
         raise ShapeError(f"coefficient table must be square, got {xi.shape}")
     d = _check_dim(xi.shape[0])
-    out = np.zeros((d, d), dtype=np.complex128)
-    for l in range(d):
-        for k in range(d):
-            if xi[l, k] != 0.0:
-                out += xi[l, k] * weyl_element(d, l, k)
+    cols = np.arange(d)
+    phases = phase_vector(d, cols[:, None] * cols)  # phases[k, n] = omega**(n*k)
+    # X_l Z_k is nonzero only on the l-th wrapped diagonal, so entry
+    # (n + l, n) of the sum collects xi[l, k] * omega**(n*k) over k alone;
+    # accumulating k in order keeps the summation order of the term-by-term sum.
+    diags = np.zeros((d, d), dtype=np.complex128)  # diags[l, n]
+    for k in range(d):
+        diags += xi[:, k, None] * phases[k]
+    out = np.empty((d, d), dtype=np.complex128)
+    out[(cols + cols[:, None]) % d, cols] = diags
     return out
 
 
@@ -228,9 +247,7 @@ def coefficients_to_json(xi) -> str:
 def json_to_coefficients(text: str, what: str = "coefficient table") -> np.ndarray:
     """Parse a coefficient table document back into a (d, d) array."""
     doc = parse_json_document(text, what)
-    d = doc.get("d")
-    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
-        raise ParseError(f"{what}: field 'd' must be a positive integer, got {d!r}")
+    d = require_int_field(doc, "d", what)
     order = doc.get("order")
     if order != "l-major":
         raise ParseError(f"{what}: field 'order' must be \"l-major\", got {order!r}")

@@ -190,6 +190,16 @@ class TestWeylChannel:
         with pytest.raises(DomainError, match="sum to 1"):
             weyl_channel(np.full((2, 2), 0.3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_weights(self, bad):
+        # With p[0, 0] = nan the other weights sum to 7/8, yet the sum check
+        # alone cannot see it: abs(nan - 1) > tol is False.
+        p = np.full((3, 3), 1.0 / 8)
+        p[0, 0] = bad
+        p[2, 2] = 0.0
+        with pytest.raises(DomainError, match="finite"):
+            weyl_channel(p)
+
 
 class TestChannelFromDilation:
     def test_single_entry_gamma_gives_rank_one_kraus(self):

@@ -316,3 +316,12 @@ class TestDeterminism:
         rho_in = write(tmp_path / "rho.json", matrix_to_json(np.eye(2) / 2))
         res = run_cli("channel", "--gamma", gamma, "--rho", rho_in, "--tol", "bogus=1")
         assert res.returncode == 2
+
+    def test_jacobi_tolerance_is_accepted_and_ignored(self, tmp_path):
+        gamma = write(tmp_path / "g.json", gamma_to_json(GammaTable.uniform(2)))
+        rho_in = write(tmp_path / "rho.json", matrix_to_json(np.eye(2) / 2))
+        plain = run_cli("channel", "--gamma", gamma, "--rho", rho_in)
+        for value in ("1e-12", "0.5"):
+            res = run_cli("channel", "--gamma", gamma, "--rho", rho_in, "--tol", f"jacobi={value}")
+            assert res.returncode == 0
+            assert (res.stdout, res.stderr) == (plain.stdout, plain.stderr)
