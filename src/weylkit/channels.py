@@ -117,7 +117,7 @@ def kraus_from_isometry(v, *, tol: Tolerances = DEFAULT_TOLERANCES) -> QuantumCh
     if d < 2 or v.shape[0] != d ** 3:
         raise ShapeError(f"expected a (d**3, d) isometry with d >= 2, got {v.shape}")
     gram_defect = frobenius_distance(v.conj().T @ v, np.eye(d))
-    if gram_defect > tol.norm:
+    if not gram_defect <= tol.norm:
         raise ValidationError(
             f"input is not an isometry: ||V^dagger V - I||_F = {gram_defect:.3e} "
             f"exceeds {tol.norm:.3e}"

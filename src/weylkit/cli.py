@@ -10,11 +10,13 @@ channel      apply a dilation- or weight-defined channel to a density matrix
 choi         compute the Choi matrix of a channel
 verify       run the invariant suite and emit a report
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
-3 domain-validation error.  Input and output paths accept ``-`` for the
-standard streams.  Output artifacts are byte-deterministic for identical
-inputs (the verify report's wall-time fields are measured and therefore
-excluded from that guarantee).
+Exit codes: 0 success, 1 verification failure, 2 usage or parse error
+(including an ``--out`` path that cannot be written), 3 domain-validation
+error, 4 out of memory.  Library functions validate their inputs; the
+commands do not repeat those checks.  Input and output paths accept ``-``
+for the standard streams.  Output artifacts are byte-deterministic for
+identical inputs (the verify report's wall-time fields are measured and
+therefore excluded from that guarantee).
 """
 
 from __future__ import annotations
@@ -43,10 +45,9 @@ from .numerics import (
     json_to_matrix,
     json_to_vector,
     matrix_to_json,
-    validate_density_matrix,
     vector_to_json,
 )
-from .verify import DEFAULT_SEED, run_verification
+from .verify import D_MAX, D_MIN, DEFAULT_SEED, run_verification
 from .weyl import (
     coefficients_to_json,
     decompose,
@@ -62,8 +63,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
-
-D_MIN, D_MAX = 2, 32
+EXIT_OUT_OF_MEMORY = 4
 
 
 def _read_text(path: str) -> str:
@@ -82,9 +82,12 @@ def _write_text(path: str, text: str) -> None:
         if not text.endswith("\n"):
             sys.stdout.write("\n")
         return
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+            fh.write("\n")
+    except OSError as exc:
+        raise _Usage(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _summary(pairs: list[tuple[str, str]]) -> None:
@@ -200,9 +203,7 @@ def _cmd_dilate(args) -> int:
                 f"warning: joint density for d={g.d} has {(g.d ** 3) ** 2} entries",
                 file=sys.stderr,
             )
-        rho = validate_density_matrix(json_to_matrix(_read_text(args.state), "input density"), tol=tol)
-        if rho.shape[0] != g.d:
-            raise _Usage(f"density size {rho.shape[0]} does not match gamma d={g.d}")
+        rho = json_to_matrix(_read_text(args.state), "input density")
         joint = evolve_density(rho, g, tol=tol)
         _emit_matrix(args, joint)
         summary.append(("joint_trace", format_float(float(np.trace(joint).real))))
@@ -253,9 +254,7 @@ def _cmd_channel(args) -> int:
         raise ValidationError(
             f"channel is not trace-preserving: deficit {deficit:.3e} exceeds {tol.cptp:.3e}"
         )
-    rho = validate_density_matrix(json_to_matrix(_read_text(args.rho), "input density"), tol=tol)
-    if rho.shape[0] != ch.d:
-        raise _Usage(f"density size {rho.shape[0]} does not match channel d={ch.d}")
+    rho = json_to_matrix(_read_text(args.rho), "input density")
     out = apply_channel(ch, rho, tol=tol)
     _emit_matrix(args, out)
     _summary(
@@ -404,6 +403,9 @@ def run(argv=None) -> int:
     except (DomainError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
+        return EXIT_OUT_OF_MEMORY
 
 
 def main(argv=None) -> None:

@@ -182,6 +182,11 @@ def hermitian_eigenvalues(a, *, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndar
             f"matrix is not Hermitian: ||A - A^dagger||_F = {defect:.3e} "
             f"exceeds {tol.herm:.3e}"
         )
+    return _hermitian_part_eigenvalues(a)
+
+
+def _hermitian_part_eigenvalues(a: np.ndarray) -> np.ndarray:
+    """Ascending spectrum of ``(a + a^dagger) / 2``; ``a`` is already checked."""
     return np.linalg.eigvalsh((a + a.conj().T) / 2.0)
 
 
@@ -224,11 +229,11 @@ def validate_density_matrix(rho, *, tol: Tolerances = DEFAULT_TOLERANCES) -> np.
     herm_defect = frobenius_distance(rho, rho.conj().T)
     if herm_defect > tol.herm:
         failures.append(f"not Hermitian (defect {herm_defect:.3e} > {tol.herm:.3e})")
-    tr = trace(rho)
+    tr = complex(np.trace(rho))
     if abs(tr - 1.0) > tol.norm:
         failures.append(f"trace {tr!r} is not 1 within {tol.norm:.3e}")
     if not failures:
-        lo = float(hermitian_eigenvalues(rho, tol=tol)[0])
+        lo = float(_hermitian_part_eigenvalues(rho)[0])
         if lo < -tol.psd:
             failures.append(f"not positive semidefinite (min eigenvalue {lo:.3e} < -{tol.psd:.3e})")
     if failures:

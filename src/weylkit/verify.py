@@ -30,6 +30,7 @@ from .weyl import decompose, gram_matrix, reconstruct, weyl_basis
 __all__ = ["CheckResult", "VerifyReport", "run_verification", "DEFAULT_SEED"]
 
 DEFAULT_SEED = 20240528
+D_MIN, D_MAX = 2, 32  # the advertised range of d; the CLI checks its arguments against it
 
 
 @dataclass(frozen=True)
@@ -107,8 +108,8 @@ def run_verification(
     """
     dims = tuple(int(d) for d in dims)
     for d in dims:
-        if d < 2 or d > 32:
-            raise DomainError(f"verify requires 2 <= d <= 32, got {d}")
+        if d < D_MIN or d > D_MAX:
+            raise DomainError(f"verify requires {D_MIN} <= d <= {D_MAX}, got {d}")
 
     results = []
     for d in dims:

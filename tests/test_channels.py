@@ -88,6 +88,16 @@ class TestKrausFromIsometry:
         with pytest.raises(ValidationError, match=r"V\^dagger V - I"):
             kraus_from_isometry(v)
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entry(self, bad):
+        # A non-finite entry in an all-zero row would otherwise sit in a slot
+        # that pruning drops, leaving an incomplete Kraus list.
+        v = make_isometry(GammaTable.uniform(3)).copy()
+        v[np.flatnonzero(~v.any(axis=1))[0], 0] = bad
+        with pytest.raises(ValidationError, match="not an isometry"):
+            kraus_from_isometry(v)
+
 
 class TestApplyChannel:
     def test_identity_channel(self):

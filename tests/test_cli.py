@@ -1,8 +1,15 @@
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylkit import (
     GammaTable,
@@ -14,7 +21,8 @@ from weylkit import (
     vector_to_json,
     weyl_element,
 )
-from weylkit.rand import random_complex_matrix, random_gamma
+from weylkit.cli import run
+from weylkit.rand import random_complex_matrix, random_density, random_gamma
 
 RNG = np.random.default_rng(555)
 
@@ -325,3 +333,115 @@ class TestDeterminism:
             res = run_cli("channel", "--gamma", gamma, "--rho", rho_in, "--tol", f"jacobi={value}")
             assert res.returncode == 0
             assert (res.stdout, res.stderr) == (plain.stdout, plain.stderr)
+
+
+def run_quiet(*args):
+    """In-process ``weylkit`` run with its stdout and stderr discarded."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return run(list(args))
+
+
+def density_commands(tmp_path, rho_text):
+    """The two commands that take a density file, on a d = 2 gamma table."""
+    gamma = write(tmp_path / "g.json", gamma_to_json(GammaTable.uniform(2)))
+    rho = write(tmp_path / "rho.json", rho_text)
+    return [
+        ("channel", "--gamma", gamma, "--rho", rho),
+        ("dilate", "--gamma", gamma, "--state", rho, "--density"),
+    ]
+
+
+NON_HERMITIAN_3 = np.eye(3) / 3 + np.diag([0.5, 0.0], k=1)
+
+FINITE = st.floats(-2.0, 2.0) | st.sampled_from([0.0, 0.5, 1.0, -0.5, 1e308])
+MATRIX_DOCS = st.builds(
+    lambda rows, cols, entries: json.dumps({"rows": rows, "cols": cols, "entries": entries}),
+    st.integers(-1, 4),
+    st.integers(-1, 4),
+    st.lists(st.lists(FINITE, min_size=2, max_size=2), max_size=10)
+    | st.lists(st.sampled_from([[float("nan"), 0], [0, float("inf")], [1], "x"]), max_size=4),
+)
+DENSITY_DOCS = st.builds(
+    lambda d, seed, scale: matrix_to_json(scale * random_density(d, np.random.default_rng(seed))),
+    st.integers(1, 3),
+    st.integers(0, 2 ** 32),
+    st.sampled_from([1.0, 1.0, -1.0, 1.5, 1 + 1e-12]),
+)
+
+
+class TestDensityInputs:
+    @pytest.mark.parametrize(
+        "rho, code",
+        [
+            (np.eye(3) / 3, 2),  # valid but wrong size
+            (NON_HERMITIAN_3, 3),  # non-Hermitian and wrong size
+            (np.eye(3), 3),  # wrong trace and wrong size
+            (np.ones((2, 3)) / 2, 2),  # non-square
+            (np.ones((3, 2)) / 2, 2),  # non-square
+            (np.diag([1.5, -0.5]), 3),  # negative eigenvalue
+            (np.eye(2) / 2, 0),
+        ],
+        ids=["wrong_size", "non_hermitian", "wrong_trace", "2x3", "3x2", "negative", "valid"],
+    )
+    def test_exit_codes(self, tmp_path, rho, code):
+        for argv in density_commands(tmp_path, matrix_to_json(rho)):
+            assert run_quiet(*argv) == code, argv[0]
+
+    def test_eigvalsh_runs_once_per_state(self, tmp_path, monkeypatch):
+        # channel validates its input and its output; dilate --density its input.
+        eigvalsh = np.linalg.eigvalsh
+        calls = []
+
+        def counting(a):
+            calls.append(a.shape)
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        expected = {"channel": 2, "dilate": 1}
+        for argv in density_commands(tmp_path, matrix_to_json(random_density(2, RNG))):
+            calls.clear()
+            assert run_quiet(*argv) == 0
+            assert len(calls) == expected[argv[0]], argv[0]
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(text=MATRIX_DOCS | DENSITY_DOCS | st.text(st.characters(codec="utf-8"), max_size=30))
+    def test_fuzzed_density_documents(self, tmp_path_factory, text):
+        for argv in density_commands(tmp_path_factory.mktemp("fuzz"), text):
+            assert run_quiet(*argv) in (0, 2, 3), (argv[0], text)
+
+
+class TestOutputFailures:
+    def test_unwritable_out_exits_2(self, tmp_path):
+        out = str(tmp_path / "missing" / "x.json")
+        for argv in (("basis", "--d", "2"), ("verify", "--d", "2", "--draws", "1")):
+            res = run_cli(*argv, "--out", out)
+            assert res.returncode == 2, argv[0]
+            assert res.stderr.startswith(f"error: cannot write {out}: ")
+            assert "Traceback" not in res.stderr
+
+    def test_out_of_memory_exits_4(self, tmp_path):
+        # The d = 24 joint density needs 2.85 GiB; the child caps its own
+        # address space at 1.5 GiB, so the allocation fails without using it.
+        d = 24
+        gamma = write(tmp_path / "g.json", gamma_to_json(GammaTable.uniform(d)))
+        rho = write(tmp_path / "rho.json", matrix_to_json(np.eye(d) / d))
+        child = (
+            "import resource, sys\n"
+            "limit = 1536 * 2 ** 20\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
+            "from weylkit.cli import main\n"
+            "main(sys.argv[1:])\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=pythonpath, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        res = subprocess.run(
+            [sys.executable, "-c", child, "dilate", "--gamma", gamma, "--state", rho, "--density"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert res.returncode == 4, res.stderr
+        assert res.stderr.splitlines()[-1].startswith("error: out of memory: ")
+        assert "Traceback" not in res.stderr

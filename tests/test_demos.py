@@ -1,4 +1,4 @@
-"""Smoke test: every narrative script under demos/ runs to completion."""
+"""Smoke test: every narrative script under demos/ runs to completion and cleans up."""
 
 import os
 import subprocess
@@ -22,3 +22,4 @@ def test_demo_exits_0(script, tmp_path):
     env = dict(os.environ, PYTHONPATH=pythonpath, TMPDIR=str(tmp_path))
     res = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, env=env, timeout=120)
     assert res.returncode == 0, res.stderr
+    assert not any(tmp_path.iterdir()), f"{script.name} left files behind in TMPDIR"

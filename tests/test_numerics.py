@@ -16,7 +16,8 @@ from weylkit import (
     validate_density_matrix,
     validate_ket,
 )
-from weylkit.rand import random_complex_matrix, random_density
+from weylkit.config import DEFAULT_TOLERANCES
+from weylkit.rand import random_complex_matrix, random_density, random_unitary
 from weylkit.weyl import clock_matrix, shift_matrix
 
 RNG = np.random.default_rng(1234)
@@ -209,3 +210,79 @@ class TestValidators:
         p = outer(v, v)
         np.testing.assert_allclose(p @ p, p, atol=1e-15)
         assert abs(trace(p) - 1) < 1e-15
+
+
+def composed_density_check(rho, tol=DEFAULT_TOLERANCES):
+    """Reference: the density check composed of ``trace`` and ``hermitian_eigenvalues``."""
+    rho = np.asarray(rho, dtype=np.complex128)
+    if rho.shape[0] != rho.shape[1]:
+        raise ShapeError(f"density matrix must be square, got {rho.shape}")
+    if not np.all(np.isfinite(rho)):
+        raise ValidationError("density matrix contains non-finite entries")
+    failures = []
+    herm_defect = frobenius_distance(rho, rho.conj().T)
+    if herm_defect > tol.herm:
+        failures.append(f"not Hermitian (defect {herm_defect:.3e} > {tol.herm:.3e})")
+    tr = trace(rho)
+    if abs(tr - 1.0) > tol.norm:
+        failures.append(f"trace {tr!r} is not 1 within {tol.norm:.3e}")
+    if not failures:
+        lo = float(hermitian_eigenvalues(rho, tol=tol)[0])
+        if lo < -tol.psd:
+            failures.append(f"not positive semidefinite (min eigenvalue {lo:.3e} < -{tol.psd:.3e})")
+    if failures:
+        raise ValidationError("invalid density matrix: " + "; ".join(failures))
+
+
+def outcome(check, rho):
+    try:
+        check(rho)
+    except (ShapeError, ValidationError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def density_cases(d, rng):
+    rho = random_density(d, rng)
+    skew = rho.copy()
+    skew[0, 1] += 1e-3
+    u = random_unitary(d, rng)
+    spectrum = np.full(d, 1.02 / (d - 1))
+    spectrum[0] = -0.02
+    bad_nan = rho.copy()
+    bad_nan[d - 1, 0] = np.nan
+    return {
+        "valid": rho,
+        "non_hermitian": skew,
+        "wrong_trace": 1.5 * rho,
+        "non_hermitian_and_wrong_trace": 1.5 * skew,
+        "negative_eigenvalue": (u * spectrum) @ u.conj().T,
+        "non_finite": bad_nan,
+        "non_square": np.ones((d, d + 1)) / d,
+    }
+
+
+class TestDensityCheckSinglePass:
+    @pytest.mark.parametrize("d", range(2, 33))
+    def test_same_outcome_as_composed_check(self, d):
+        rng = np.random.default_rng(1000 + d)
+        for name, rho in density_cases(d, rng).items():
+            assert outcome(validate_density_matrix, rho) == outcome(composed_density_check, rho), name
+
+    @pytest.mark.parametrize("d", [2, 5, 16, 32])
+    def test_min_eigenvalue_equals_hermitian_eigenvalues(self, d, monkeypatch):
+        rng = np.random.default_rng(2000 + d)
+        eigvalsh = np.linalg.eigvalsh
+        seen = []
+
+        def spy(a):
+            seen.append(eigvalsh(a))
+            return seen[-1]
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        for name in ("valid", "negative_eigenvalue"):
+            rho = density_cases(d, rng)[name]
+            seen.clear()
+            outcome(validate_density_matrix, rho)
+            assert len(seen) == 1
+            assert seen[0][0] == hermitian_eigenvalues(rho)[0]
