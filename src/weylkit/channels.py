@@ -32,6 +32,8 @@ from .errors import DomainError, ParseError, ShapeError, ValidationError
 from .numerics import (
     as_matrix,
     frobenius_distance,
+    json_object,
+    matrix_fields,
     matrix_from_object,
     matrix_to_json,
     parse_json_document,
@@ -122,6 +124,12 @@ def kraus_from_isometry(v, *, tol: Tolerances = DEFAULT_TOLERANCES) -> QuantumCh
             f"input is not an isometry: ||V^dagger V - I||_F = {gram_defect:.3e} "
             f"exceeds {tol.norm:.3e}"
         )
+    return _kraus_from_slots(v, tol)
+
+
+def _kraus_from_slots(v: np.ndarray, tol: Tolerances) -> QuantumChannel:
+    """Slice a (d**3, d) matrix into its d**2 environment slots and prune the zero ones."""
+    d = v.shape[1]
     ops = v.reshape(d, d * d, d).transpose(1, 0, 2)  # [m, r, c]
     keep = np.linalg.norm(ops, axis=(1, 2)) >= tol.prune
     if not keep.any():
@@ -211,8 +219,11 @@ def channel_from_dilation(g: GammaTable, *, tol: Tolerances = DEFAULT_TOLERANCES
     ``partial_trace_env(V rho V^dagger)``.  Environment slot ``(a, b)``
     contributes the rank-one operator ``gamma[a, b] |a - 2b><-b|`` (indices
     mod d), so the extracted list is rank-one throughout.
+
+    ``V^dagger V`` is diag(column masses of ``g``), each within ``tol.norm`` of 1;
+    its Frobenius defect can reach ``sqrt(d) * tol.norm``, so it is not checked again.
     """
-    return kraus_from_isometry(make_isometry(g), tol=tol)
+    return _kraus_from_slots(make_isometry(g), tol)
 
 
 def choi_matrix(ch: QuantumChannel) -> np.ndarray:
@@ -248,7 +259,7 @@ def channels_equal(a: QuantumChannel, b: QuantumChannel, tol: float) -> bool:
 def channel_to_json(ch: QuantumChannel) -> str:
     """Serialize as ``{"d": d, "kraus": [matrix, ...]}`` in list order."""
     mats = ", ".join(matrix_to_json(e) for e in ch.kraus)
-    return f'{{"d": {ch.d}, "kraus": [{mats}]}}'
+    return json_object([("d", str(ch.d)), ("kraus", f"[{mats}]")])
 
 
 def json_to_channel(text: str, what: str = "channel") -> QuantumChannel:
@@ -267,9 +278,7 @@ def json_to_channel(text: str, what: str = "channel") -> QuantumChannel:
 
 def choi_to_json(j) -> str:
     """Serialize a Choi matrix in the matrix format plus a convention header."""
-    j = as_matrix(j)
-    body = matrix_to_json(j)
-    return '{"convention": "column-stacking", ' + body[1:]
+    return json_object([("convention", '"column-stacking"'), *matrix_fields(j)])
 
 
 def kraus_mix(ch: QuantumChannel, u: Sequence[Sequence[complex]]) -> QuantumChannel:

@@ -11,12 +11,14 @@ choi         compute the Choi matrix of a channel
 verify       run the invariant suite and emit a report
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error
-(including an ``--out`` path that cannot be written), 3 domain-validation
-error, 4 out of memory.  Library functions validate their inputs; the
-commands do not repeat those checks.  Input and output paths accept ``-``
-for the standard streams.  Output artifacts are byte-deterministic for
-identical inputs (the verify report's wall-time fields are measured and
-therefore excluded from that guarantee).
+(including a malformed ``--tol``, which every command checks, an input file
+that is not UTF-8 and an ``--out`` path that cannot be written), 3
+domain-validation error, 4 out of memory.  Library functions validate their
+inputs; the commands do not repeat those checks.  JSON artifacts and
+summaries are built with ``numerics.json_object``, except the multi-line
+verify report.  Input and output paths accept ``-`` for the standard streams.  Output artifacts are byte-deterministic for identical
+inputs (the verify report's wall-time fields are measured and therefore
+excluded from that guarantee).
 """
 
 from __future__ import annotations
@@ -42,10 +44,10 @@ from .errors import DomainError, ParseError, ShapeError, ValidationError
 from .numerics import (
     format_float,
     frobenius_distance,
+    json_object,
     json_to_matrix,
     json_to_vector,
     matrix_to_json,
-    vector_to_json,
 )
 from .verify import D_MAX, D_MIN, DEFAULT_SEED, run_verification
 from .weyl import (
@@ -67,13 +69,15 @@ EXIT_OUT_OF_MEMORY = 4
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from None
 
 
 def _write_text(path: str, text: str) -> None:
@@ -91,8 +95,7 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _summary(pairs: list[tuple[str, str]]) -> None:
-    body = ", ".join(f'"{key}": {value}' for key, value in pairs)
-    print("{" + body + "}", file=sys.stderr)
+    print(json_object(pairs), file=sys.stderr)
 
 
 def _complex_cell(z: complex) -> str:
@@ -109,13 +112,9 @@ def _matrix_table(m: np.ndarray) -> str:
     return "\n".join("  ".join(c.rjust(width) for c in row) for row in cells)
 
 
-def _emit_matrix(args, m: np.ndarray, as_vector: bool = False) -> None:
-    if args.format == "table":
-        _write_text(args.out, _matrix_table(m if not as_vector else m[:, None]))
-    elif as_vector:
-        _write_text(args.out, vector_to_json(m))
-    else:
-        _write_text(args.out, matrix_to_json(m))
+def _emit(args, m: np.ndarray, to_json=matrix_to_json) -> None:
+    """Write the artifact ``m`` in the chosen format; ``to_json`` is its JSON writer."""
+    _write_text(args.out, _matrix_table(m) if args.format == "table" else to_json(m))
 
 
 def _check_d(d: int) -> int:
@@ -154,7 +153,7 @@ def _cmd_basis(args) -> int:
     if (args.l is None) != (args.k is None):
         raise _Usage("--l and --k must be given together")
     if args.l is not None:
-        _emit_matrix(args, weyl_element(d, args.l, args.k))
+        _emit(args, weyl_element(d, args.l, args.k))
         return EXIT_OK
     elements = weyl_basis(d).elements
     if args.format == "table":
@@ -162,12 +161,11 @@ def _cmd_basis(args) -> int:
         _write_text(args.out, "\n\n".join(blocks))
         return EXIT_OK
     mats = ", ".join(matrix_to_json(w) for w in elements)
-    _write_text(args.out, f'{{"d": {d}, "order": "l-major", "elements": [{mats}]}}')
+    _write_text(args.out, json_object([("d", str(d)), ("order", '"l-major"'), ("elements", f"[{mats}]")]))
     return EXIT_OK
 
 
 def _cmd_decompose(args) -> int:
-    tol = _tolerances(args.tol)
     a = json_to_matrix(_read_text(args.input), "input matrix")
     if a.shape[0] != a.shape[1]:
         raise _Usage(f"input matrix must be square, got {a.shape[0]} x {a.shape[1]}")
@@ -177,24 +175,22 @@ def _cmd_decompose(args) -> int:
     _check_d(d)
     xi = decompose(a)
     residual = frobenius_distance(reconstruct(xi), a)
-    if args.format == "table":
-        _write_text(args.out, _matrix_table(xi))
-    else:
-        _write_text(args.out, coefficients_to_json(xi))
-    _summary([("d", str(d)), ("roundtrip_residual", format_float(residual)), ("tolerance", format_float(tol.norm))])
+    _emit(args, xi, coefficients_to_json)
+    _summary(
+        [("d", str(d)), ("roundtrip_residual", format_float(residual)), ("tolerance", format_float(args.tol.norm))]
+    )
     return EXIT_OK
 
 
 def _cmd_reconstruct(args) -> int:
     xi = json_to_coefficients(_read_text(args.input), "coefficient table")
     _check_d(xi.shape[0])
-    _emit_matrix(args, reconstruct(xi))
+    _emit(args, reconstruct(xi))
     return EXIT_OK
 
 
 def _cmd_dilate(args) -> int:
-    tol = _tolerances(args.tol)
-    g = json_to_gamma(_read_text(args.gamma), tol=tol)
+    g = json_to_gamma(_read_text(args.gamma), tol=args.tol)
     _check_d(g.d)
     summary: list[tuple[str, str]] = [("d", str(g.d))]
     if args.density:
@@ -204,59 +200,56 @@ def _cmd_dilate(args) -> int:
                 file=sys.stderr,
             )
         rho = json_to_matrix(_read_text(args.state), "input density")
-        joint = evolve_density(rho, g, tol=tol)
-        _emit_matrix(args, joint)
+        joint = evolve_density(rho, g, tol=args.tol)
+        _emit(args, joint)
         summary.append(("joint_trace", format_float(float(np.trace(joint).real))))
     else:
         psi = json_to_vector(_read_text(args.state), "input state")
         if psi.shape[0] != g.d:
             raise _Usage(f"state size {psi.shape[0]} does not match gamma d={g.d}")
-        joint = evolve_pure(psi, g, tol=tol)
-        _emit_matrix(args, joint, as_vector=True)
+        joint = evolve_pure(psi, g, tol=args.tol)
+        _emit(args, joint[:, None])
         summary.append(("joint_norm", format_float(float(np.linalg.norm(joint)))))
         if args.weyl_norms:
-            terms = weyl_form_of_joint(psi, g, tol=tol)
-            norms = ", ".join(
-                f'"{t.l},{t.k}": {format_float(float(np.linalg.norm(t.env)))}' for t in terms
-            )
-            summary.append(("env_term_norms", "{" + norms + "}"))
+            terms = weyl_form_of_joint(psi, g, tol=args.tol)
+            norms = json_object((f"{t.l},{t.k}", format_float(float(np.linalg.norm(t.env)))) for t in terms)
+            summary.append(("env_term_norms", norms))
     _summary(summary)
     return EXIT_OK
 
 
-def _load_channel_source(args, tol) -> QuantumChannel:
+def _load_channel_source(args) -> QuantumChannel:
     sources = [name for name in ("gamma", "weights", "channel") if getattr(args, name, None)]
     if len(sources) != 1:
         raise _Usage("provide exactly one channel source (--gamma, --weights or --channel)")
     name = sources[0]
     if name == "gamma":
-        g = json_to_gamma(_read_text(args.gamma), tol=tol)
+        g = json_to_gamma(_read_text(args.gamma), tol=args.tol)
         _check_d(g.d)
-        return channel_from_dilation(g, tol=tol)
+        return channel_from_dilation(g, tol=args.tol)
     if name == "weights":
         w = json_to_matrix(_read_text(args.weights), "weights table")
-        if np.max(np.abs(w.imag)) > tol.norm:
+        if np.max(np.abs(w.imag)) > args.tol.norm:
             raise DomainError("weights table must be real (imaginary parts are not zero)")
         if w.shape[0] != w.shape[1]:
             raise _Usage(f"weights table must be square, got {w.shape[0]} x {w.shape[1]}")
         _check_d(w.shape[0])
-        return weyl_channel(w.real, tol=tol)
+        return weyl_channel(w.real, tol=args.tol)
     ch = json_to_channel(_read_text(args.channel))
     _check_d(ch.d)
     return ch
 
 
 def _cmd_channel(args) -> int:
-    tol = _tolerances(args.tol)
-    ch = _load_channel_source(args, tol)
-    ok, deficit = is_trace_preserving(ch, tol=tol)
+    ch = _load_channel_source(args)
+    ok, deficit = is_trace_preserving(ch, tol=args.tol)
     if not ok:
         raise ValidationError(
-            f"channel is not trace-preserving: deficit {deficit:.3e} exceeds {tol.cptp:.3e}"
+            f"channel is not trace-preserving: deficit {deficit:.3e} exceeds {args.tol.cptp:.3e}"
         )
     rho = json_to_matrix(_read_text(args.rho), "input density")
-    out = apply_channel(ch, rho, tol=tol)
-    _emit_matrix(args, out)
+    out = apply_channel(ch, rho, tol=args.tol)
+    _emit(args, out)
     _summary(
         [
             ("d", str(ch.d)),
@@ -268,14 +261,10 @@ def _cmd_channel(args) -> int:
 
 
 def _cmd_choi(args) -> int:
-    tol = _tolerances(args.tol)
-    ch = _load_channel_source(args, tol)
+    ch = _load_channel_source(args)
     j = choi_matrix(ch)
-    if args.format == "table":
-        _write_text(args.out, _matrix_table(j))
-    else:
-        _write_text(args.out, choi_to_json(j))
-    _, deficit = is_trace_preserving(ch, tol=tol)
+    _emit(args, j, choi_to_json)
+    _, deficit = is_trace_preserving(ch, tol=args.tol)
     _summary(
         [
             ("d", str(ch.d)),
@@ -393,6 +382,7 @@ def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        args.tol = _tolerances(args.tol)
         return args.handler(args)
     except _Usage as exc:
         print(f"error: {exc}", file=sys.stderr)

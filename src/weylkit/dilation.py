@@ -39,9 +39,8 @@ from .errors import DomainError, ShapeError, ValidationError
 from .numerics import (
     as_matrix,
     format_complex_pairs,
-    parse_complex_pairs,
-    parse_json_document,
-    require_int_field,
+    json_object,
+    json_to_table,
     validate_density_matrix,
     validate_ket,
 )
@@ -118,7 +117,7 @@ class GammaTable:
 
 def gamma_to_json(g: GammaTable) -> str:
     """Serialize to ``{"d": d, "gamma": [...]}`` with (a outer, b inner) order."""
-    return f'{{"d": {g.d}, "gamma": {format_complex_pairs(g.gamma.ravel(order="C"))}}}'
+    return json_object([("d", str(g.d)), ("gamma", format_complex_pairs(g.gamma))])
 
 
 def json_to_gamma(text: str, *, tol: Tolerances = DEFAULT_TOLERANCES, what: str = "gamma table") -> GammaTable:
@@ -127,15 +126,12 @@ def json_to_gamma(text: str, *, tol: Tolerances = DEFAULT_TOLERANCES, what: str 
     Normalization failures report the l2 mass of every column so the
     offending entries can be located without re-deriving them.
     """
-    doc = parse_json_document(text, what)
-    d = require_int_field(doc, "d", what, minimum=2)
-    entries = parse_complex_pairs(doc.get("gamma"), d * d, what)
-    g = entries.reshape(d, d)
+    g = json_to_table(text, "gamma", what, minimum=2)
     try:
         return GammaTable(g, tol=tol)
     except ValidationError:
         mass = np.sum(np.abs(g) ** 2, axis=0)
-        report = ", ".join(f"column {b}: {mass[b]:.12g}" for b in range(d))
+        report = ", ".join(f"column {b}: {mass[b]:.12g}" for b in range(g.shape[0]))
         raise ValidationError(f"{what}: column l2 masses must all be 1: {report}") from None
 
 

@@ -4,7 +4,8 @@ Everything in this package moves through plain ``numpy.ndarray`` values of
 dtype ``complex128``: operators and isometries are 2-d arrays, state vectors
 are 1-d arrays.  This module supplies the arithmetic the other modules build
 on, the structural validators (kets, density matrices), Hermitian
-eigenvalues, and the JSON matrix file format.
+eigenvalues, the JSON matrix file format, and the JSON syntax every file
+format is written and read with (``json_object``, ``json_to_table``).
 
 Conventions fixed here and used everywhere:
 
@@ -266,14 +267,21 @@ def format_complex_pairs(values: np.ndarray) -> str:
     return f"[{pairs}]"
 
 
-def matrix_to_json(m) -> str:
-    """Serialize a matrix to the JSON matrix format (row-major entries)."""
+def json_object(fields) -> str:
+    """Join ``(key, serialized value)`` pairs into one JSON object, in order."""
+    return "{" + ", ".join(f'"{key}": {value}' for key, value in fields) + "}"
+
+
+def matrix_fields(m) -> list[tuple[str, str]]:
+    """The ``rows``, ``cols`` and row-major ``entries`` fields of a matrix document."""
     m = as_matrix(m)
     rows, cols = m.shape
-    return (
-        f'{{"rows": {rows}, "cols": {cols}, '
-        f'"entries": {format_complex_pairs(m.ravel(order="C"))}}}'
-    )
+    return [("rows", str(rows)), ("cols", str(cols)), ("entries", format_complex_pairs(m))]
+
+
+def matrix_to_json(m) -> str:
+    """Serialize a matrix to the JSON matrix format (row-major entries)."""
+    return json_object(matrix_fields(m))
 
 
 def vector_to_json(v) -> str:
@@ -328,6 +336,19 @@ def matrix_from_object(doc: dict, what: str = "matrix") -> np.ndarray:
     cols = require_int_field(doc, "cols", what)
     entries = parse_complex_pairs(doc.get("entries"), rows * cols, what)
     return entries.reshape(rows, cols)
+
+
+def json_to_table(text: str, key: str, what: str, *, minimum: int = 1, tags=()) -> np.ndarray:
+    """Parse a ``{"d": d, ..., key: [d**2 [re, im] pairs]}`` document into a (d, d) array.
+
+    ``d >= minimum`` is checked first, then each string field ``(tag, value)`` in ``tags``.
+    """
+    doc = parse_json_document(text, what)
+    d = require_int_field(doc, "d", what, minimum)
+    for tag, value in tags:
+        if doc.get(tag) != value:
+            raise ParseError(f'{what}: field {tag!r} must be "{value}", got {doc.get(tag)!r}')
+    return parse_complex_pairs(doc.get(key), d * d, what).reshape(d, d)
 
 
 def json_to_matrix(text: str, what: str = "matrix") -> np.ndarray:

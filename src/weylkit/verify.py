@@ -132,6 +132,13 @@ def run_verification(
     return VerifyReport(seed=seed, dims=dims, checks=tuple(results), fault_injected=inject_fault)
 
 
+def _lie_closure_pairs(d, rng) -> list[tuple[int, int]]:
+    """Basis index pairs (x, y) for ``lie_closure``, ascending: all d**4, or 4096 drawn from them."""
+    n = d * d
+    picks = range(n * n) if n * n <= 4096 else np.sort(rng.choice(n * n, size=4096, replace=False))
+    return [divmod(int(i), n) for i in picks]
+
+
 def _checks_for_dim(d, rng, draws, inject_fault):
     """Yield (name, residual_thunk, tolerance) triples for one dimension."""
     basis = weyl_basis(d)
@@ -200,12 +207,8 @@ def _checks_for_dim(d, rng, draws, inject_fault):
     yield "kraus_vs_partial_trace", kraus_vs_partial_trace, 1e-10
 
     def lie_closure():
-        pairs = [(x, y) for x in range(d * d) for y in range(d * d)]
-        if len(pairs) > 4096:
-            keep = rng.choice(len(pairs), size=4096, replace=False)
-            pairs = [pairs[i] for i in sorted(keep)]
         worst = 0.0
-        for x, y in pairs:
+        for x, y in _lie_closure_pairs(d, rng):
             wx = basis.elements[x]
             wy = basis.elements[y]
             comm = wx @ wy - wy @ wx

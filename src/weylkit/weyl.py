@@ -22,14 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, ParseError, ShapeError
-from .numerics import (
-    as_matrix,
-    format_complex_pairs,
-    parse_complex_pairs,
-    parse_json_document,
-    require_int_field,
-)
+from .errors import DomainError, ShapeError
+from .numerics import as_matrix, format_complex_pairs, json_object, json_to_table
 
 __all__ = [
     "omega",
@@ -237,19 +231,9 @@ def coefficients_to_json(xi) -> str:
     xi = np.asarray(xi, dtype=np.complex128)
     if xi.ndim != 2 or xi.shape[0] != xi.shape[1]:
         raise ShapeError(f"coefficient table must be square, got {xi.shape}")
-    d = xi.shape[0]
-    return (
-        f'{{"d": {d}, "order": "l-major", '
-        f'"xi": {format_complex_pairs(xi.ravel(order="C"))}}}'
-    )
+    return json_object([("d", str(xi.shape[0])), ("order", '"l-major"'), ("xi", format_complex_pairs(xi))])
 
 
 def json_to_coefficients(text: str, what: str = "coefficient table") -> np.ndarray:
     """Parse a coefficient table document back into a (d, d) array."""
-    doc = parse_json_document(text, what)
-    d = require_int_field(doc, "d", what)
-    order = doc.get("order")
-    if order != "l-major":
-        raise ParseError(f"{what}: field 'order' must be \"l-major\", got {order!r}")
-    xi = parse_complex_pairs(doc.get("xi"), d * d, what)
-    return xi.reshape(d, d)
+    return json_to_table(text, "xi", what, tags=[("order", "l-major")])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from weylkit import (
+    DEFAULT_TOLERANCES,
     DomainError,
     GammaTable,
     QuantumChannel,
@@ -20,6 +21,7 @@ from weylkit import (
     make_isometry,
     outer,
     partial_trace_env,
+    replace_tolerance,
     shift_matrix,
     unitality_deficit,
     weyl_channel,
@@ -235,6 +237,20 @@ class TestChannelFromDilation:
         wch = weyl_channel(p)
         assert frobenius_distance(choi_matrix(ch), choi_matrix(wch)) < 1e-9
         assert channels_equal(ch, wch, 1e-9)
+
+    def test_accepts_gamma_within_column_tolerance(self):
+        # V^dagger V is diag(column masses): each mass is within tol.norm of 1,
+        # but the Frobenius defect of the whole diagonal is 1.8e-10 > 1e-10.
+        d = 4
+        g = GammaTable(np.full((d, d), np.sqrt((1 + 0.9e-10) / d)))
+        ch = channel_from_dilation(g)
+        ok, deficit = is_trace_preserving(ch)
+        assert ok and deficit < DEFAULT_TOLERANCES.cptp
+        loose = replace_tolerance(DEFAULT_TOLERANCES, "norm", 1e-9)
+        np.testing.assert_array_equal(ch.stack, kraus_from_isometry(make_isometry(g), tol=loose).stack)
+        # An isometry from outside is still checked.
+        with pytest.raises(ValidationError, match="not an isometry"):
+            kraus_from_isometry(make_isometry(g))
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_matches_partial_trace_oracle(self, d):

@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -134,6 +133,15 @@ class TestDecomposeReconstruct:
         src = write(tmp_path / "m.json", matrix_to_json(np.eye(2)))
         assert run_cli("decompose", "--in", src, "--d", "3").returncode == 2
 
+    def test_non_utf8_input_exits_2(self, tmp_path):
+        src = tmp_path / "bad.json"
+        src.write_bytes(b"\xff\xfe")
+        for command in ("decompose", "reconstruct"):
+            res = run_cli(command, "--in", str(src))
+            assert res.returncode == 2, command
+            assert res.stderr.startswith(f"error: cannot read {src}: ")
+            assert "Traceback" not in res.stderr
+
 
 class TestDilateCommand:
     def test_pure_state_output(self, tmp_path):
@@ -226,6 +234,18 @@ class TestChannelCommand:
     def test_no_source_is_usage_error(self, tmp_path):
         rho_in = write(tmp_path / "rho.json", matrix_to_json(np.eye(2) / 2))
         assert run_cli("channel", "--rho", rho_in).returncode == 2
+
+    def test_gamma_within_column_tolerance_is_accepted(self, tmp_path):
+        # Column masses 1 + 0.9e-10 pass the gamma table's norm check, while
+        # ||V^dagger V - I||_F = 1.8e-10 would fail the same tolerance.
+        d = 4
+        near = [[float(np.sqrt((1 + 0.9e-10) / d)), 0.0]] * (d * d)
+        gamma = write(tmp_path / "g.json", json.dumps({"d": d, "gamma": near}))
+        psi = write(tmp_path / "psi.json", vector_to_json(np.eye(d)[0]))
+        rho = write(tmp_path / "rho.json", matrix_to_json(np.eye(d) / d))
+        for argv in (("dilate", "--state", psi), ("channel", "--rho", rho), ("choi",)):
+            res = run_cli(*argv, "--gamma", gamma)
+            assert res.returncode == 0, (argv[0], res.stderr)
 
     def test_bad_weights_exit_3(self, tmp_path):
         weights = write(tmp_path / "w.json", matrix_to_json(np.full((2, 2), 0.3)))
@@ -432,9 +452,7 @@ class TestOutputFailures:
             "from weylkit.cli import main\n"
             "main(sys.argv[1:])\n"
         )
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, PYTHONPATH=pythonpath, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
         res = subprocess.run(
             [sys.executable, "-c", child, "dilate", "--gamma", gamma, "--state", rho, "--density"],
             capture_output=True,
