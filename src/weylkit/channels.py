@@ -83,14 +83,17 @@ class QuantumChannel:
         if d < 2:
             raise DomainError(f"channel dimension must be >= 2, got {d}")
         ops = self.kraus
-        if not (isinstance(ops, np.ndarray) and ops.ndim == 3):
+        if isinstance(ops, np.ndarray) and ops.ndim == 3:
+            # The operators of one array share a shape, so a wrong one is reported before non-finite entries.
+            n = len(ops) if ops.shape[1:] == (d, d) else 0
+        else:
             ops = [as_matrix(e) for e in ops]
+            # Operators are checked up to the first one of the wrong shape, so a
+            # non-finite operator before it is reported first, as in a scan of
+            # the list one operator at a time.
+            n = next((i for i, e in enumerate(ops) if e.shape != (d, d)), len(ops))
         if not len(ops):
             raise DomainError("a channel needs at least one Kraus operator")
-        # Operators are checked up to the first one of the wrong shape, so a
-        # non-finite operator before it is reported first, as in a scan of
-        # the list one operator at a time.
-        n = next((i for i, e in enumerate(ops) if e.shape != (d, d)), len(ops))
         stack = np.array(ops[:n], dtype=np.complex128)
         if not np.isfinite(stack).all():
             raise ValidationError("Kraus operator contains non-finite entries")

@@ -12,7 +12,8 @@ verify       run the invariant suite and emit a report
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error
 (including a malformed ``--tol``, which every command checks, an input file
-that is not UTF-8 and an ``--out`` path that cannot be written), 3
+that is not UTF-8, a JSON number beyond the float range or the int digit
+limit, and an ``--out`` path that cannot be written), 3
 domain-validation error, 4 out of memory.  Library functions validate their
 inputs; the commands do not repeat those checks.  JSON artifacts and
 summaries are built with ``numerics.json_object``, except the multi-line

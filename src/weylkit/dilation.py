@@ -44,7 +44,7 @@ from .numerics import (
     validate_density_matrix,
     validate_ket,
 )
-from .weyl import phase_vector, weyl_basis
+from .weyl import dim_constants, weyl_basis
 
 __all__ = [
     "GammaTable",
@@ -183,11 +183,9 @@ def weyl_form_of_joint(psi, g: GammaTable, *, tol: Tolerances = DEFAULT_TOLERANC
     sys = (weyl_basis(d).elements @ psi).reshape(d, d, d)
     # env[l, k] has omega**(z*k) * gamma[z + l, z] at environment index (z + l, z).
     z = np.arange(d)
-    rows = (z + z[:, None]) % d  # rows[l, z] = z + l mod d
+    c = dim_constants(d)  # c.rows[l, z] = z + l mod d, c.phases[k, z] = omega**(z*k)
     env = np.zeros((d, d, d * d), dtype=np.complex128)
-    env[z[:, None, None], z[:, None], rows[:, None, :] * d + z] = (
-        phase_vector(d, z[:, None] * z) * g.gamma[rows, z][:, None, :]
-    )
+    env[z[:, None, None], z[:, None], c.rows[:, None, :] * d + z] = c.phases * g.gamma[c.rows, z][:, None, :]
     return [WeylFormTerm(l=l, k=k, sys=sys[l, k], env=env[l, k]) for l in range(d) for k in range(d)]
 
 
@@ -207,12 +205,12 @@ def env_gram(g: GammaTable) -> np.ndarray:
     d = g.d
     out = np.empty((d, d, d), dtype=np.complex128)
     z = np.arange(d)
-    dft = phase_vector(d, z[:, None] * z[None, :])  # dft[t, z] = omega**(t*z)
+    c = dim_constants(d)  # c.phases[t, z] = omega**(t*z)
+    shifts = (z - z[:, None]) % d  # shifts[k, k'] = k' - k mod d
     for l in range(d):
-        w = np.abs(g.gamma[(z + l) % d, z]) ** 2
-        sums = dft @ w  # sums[t] = sum_z omega**(t*z) |gamma|**2
-        for k in range(d):
-            out[l, k, :] = sums[(z - k) % d]
+        w = np.abs(g.gamma[c.rows[l], z]) ** 2
+        sums = c.phases @ w  # sums[t] = sum_z omega**(t*z) |gamma|**2
+        out[l] = sums[shifts]
     return out
 
 

@@ -22,6 +22,7 @@ All functions are pure; none mutates its arguments.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 
@@ -295,6 +296,8 @@ def parse_json_document(text: str, what: str) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{what}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:  # e.g. an integer literal over the digit limit, or deep nesting
+        raise ParseError(f"{what}: invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError(f"{what}: expected a JSON object, got {type(doc).__name__}")
     return doc
@@ -313,9 +316,13 @@ def parse_complex_pairs(raw, count: int, what: str) -> np.ndarray:
             or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
         ):
             raise ParseError(f"{what}: entry {idx} is not a [re, im] number pair")
-        if not (math.isfinite(pair[0]) and math.isfinite(pair[1])):
+        try:
+            z = complex(pair[0], pair[1])
+        except OverflowError:  # an integer beyond the float range
+            raise ParseError(f"{what}: entry {idx} is out of the float range") from None
+        if not cmath.isfinite(z):
             raise ParseError(f"{what}: entry {idx} is not finite")
-        out[idx] = complex(pair[0], pair[1])
+        out[idx] = z
     return out
 
 

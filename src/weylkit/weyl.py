@@ -14,11 +14,21 @@ index arithmetic is reduced into ``[0, d)`` immediately, and negative inputs
 are accepted and normalized; phases ``omega**e`` are evaluated with the
 exponent reduced mod d first, which bounds the phase error independently of
 how large the raw exponent grows.
+
+Every function here depends on d only through fixed per-dimension constants:
+the d roots ``omega**e``, the phase tables ``omega**(n*k)`` and
+``omega**(-n*k)``, the wrapped-diagonal index ``(n + l) % d`` and the basis
+stack.  Each is computed once per process for the most recently used
+dimensions (bounded LRU caches of ``_MEMO_DIMS`` entries) and shared
+read-only.  The basis stack dominates that memory: d**4 complex entries,
+16 MiB at d = 32, so the worst case, eight bases at d = 25..32, holds 84 MiB.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,28 +62,65 @@ def _check_dim(d: int, minimum: int = 2) -> int:
 def omega(d: int) -> complex:
     """Primitive d-th root of unity ``exp(2*pi*1j/d)``."""
     d = _check_dim(d, minimum=1)
-    return complex(phase_vector(d, [1])[0])
+    return complex(_roots(d)[1 % d])
 
 
 _QUARTER_TURNS = np.array([1.0, 1.0j, -1.0, -1.0j], dtype=np.complex128)
+
+# Number of dimensions whose constants stay cached; sweeps over a few small d
+# hit the cache, and eight d = 32 basis stacks bound the memory (see above).
+_MEMO_DIMS = 8
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+@lru_cache(maxsize=_MEMO_DIMS)
+def _roots(d: int) -> np.ndarray:
+    """Read-only ``roots[e] = omega**e`` for e in [0, d).
+
+    Quarter turns (e/d in {0, 1/4, 1/2, 3/4}) are exact in binary64 and are pinned.
+    """
+    e = np.arange(d, dtype=np.int64)
+    out = np.exp(2j * np.pi * e / d)
+    four = 4 * e
+    quarter = four % d == 0
+    out[quarter] = _QUARTER_TURNS[(four[quarter] // d) % 4]
+    return _frozen(out)
+
+
+class DimConstants(NamedTuple):
+    """Read-only (d, d) tables shared by every call at one dimension."""
+
+    phases: np.ndarray  # phases[k, n] = omega**(n*k)
+    dft: np.ndarray  # dft[k, n] = omega**(-n*k)
+    rows: np.ndarray  # rows[l, n] = (n + l) % d, the l-th wrapped diagonal
+
+
+@lru_cache(maxsize=_MEMO_DIMS)
+def dim_constants(d: int) -> DimConstants:
+    """The per-dimension phase and index tables, computed once per d from the roots.
+
+    ``d`` is not checked here: callers pass a dimension they have already checked.
+    """
+    n = np.arange(d)
+    nk = n[:, None] * n % d
+    roots = _roots(d)
+    return DimConstants(phases=_frozen(roots[nk]), dft=_frozen(roots[-nk % d]), rows=_frozen((n + n[:, None]) % d))
 
 
 def phase_vector(d: int, exponents) -> np.ndarray:
     """``omega(d)`` raised to the given exponents, reduced mod d first.
 
     Reducing the exponent into [0, d) before evaluating bounds the phase
-    error independently of how large the raw exponent grows.  Quarter turns
-    (exponent/d in {0, 1/4, 1/2, 3/4}) are exact in binary64 and are pinned,
-    so e.g. ``omega(2) == -1`` holds exactly.
+    error independently of how large the raw exponent grows.  The result is a
+    fresh array read from the cached roots of unity, whose quarter turns are
+    exact, so e.g. ``omega(2) == -1`` holds exactly.
     """
     d = _check_dim(d, minimum=1)
-    e = np.mod(np.asarray(exponents, dtype=np.int64), d)
-    out = np.exp(2j * np.pi * e / d)
-    four = 4 * e
-    quarter = four % d == 0
-    if np.any(quarter):
-        out = np.where(quarter, _QUARTER_TURNS[(four // d) % 4], out)
-    return out
+    return _roots(d)[np.mod(np.asarray(exponents, dtype=np.int64), d)]
 
 
 def shift_matrix(d: int, l: int) -> np.ndarray:
@@ -144,19 +191,22 @@ class WeylBasis:
 
 
 def weyl_basis(d: int) -> WeylBasis:
-    """Construct the full Weyl-Heisenberg basis for dimension ``d``.
+    """The full Weyl-Heisenberg basis for dimension ``d``, shared read-only.
 
     All d**2 elements are written in one indexed assignment; element
-    ``[l * d + k]`` equals ``weyl_element(d, l, k)`` exactly.
+    ``[l * d + k]`` equals ``weyl_element(d, l, k)`` exactly.  The basis is
+    built once per dimension and the same instance is returned afterwards.
     """
-    d = _check_dim(d)
+    return _weyl_basis(_check_dim(d))
+
+
+@lru_cache(maxsize=_MEMO_DIMS)
+def _weyl_basis(d: int) -> WeylBasis:
     idx = np.arange(d)
+    c = dim_constants(d)
     w = np.zeros((d, d, d, d), dtype=np.complex128)  # [l, k, row, col]
-    rows = (idx + idx[:, None]) % d  # rows[l, n] = n + l mod d
-    w[idx[:, None, None], idx[:, None], rows[:, None, :], idx] = phase_vector(d, idx[:, None] * idx)
-    elements = w.reshape(d * d, d, d)
-    elements.setflags(write=False)
-    return WeylBasis(d=d, omega=omega(d), elements=elements)
+    w[idx[:, None, None], idx[:, None], c.rows[:, None, :], idx] = c.phases
+    return WeylBasis(d=d, omega=omega(d), elements=_frozen(w.reshape(d * d, d, d)))
 
 
 def decompose(a) -> np.ndarray:
@@ -171,12 +221,10 @@ def decompose(a) -> np.ndarray:
     if a.shape[0] != a.shape[1]:
         raise ShapeError(f"decompose requires a square matrix, got {a.shape}")
     d = _check_dim(a.shape[0])
-    cols = np.arange(d)
+    c = dim_constants(d)
     # diag[l, n] = a[(n + l) % d, n]: the l-th wrapped diagonal.
-    diags = a[(cols[None, :] + cols[:, None]) % d, cols[None, :]]
-    # dft[k, n] = omega**(-n*k), exponents reduced mod d before evaluating.
-    dft = phase_vector(d, -(cols[:, None] * cols[None, :]))
-    return diags @ dft.T / d
+    diags = a[c.rows, np.arange(d)]
+    return diags @ c.dft.T / d
 
 
 def reconstruct(xi) -> np.ndarray:
@@ -185,16 +233,15 @@ def reconstruct(xi) -> np.ndarray:
     if xi.ndim != 2 or xi.shape[0] != xi.shape[1]:
         raise ShapeError(f"coefficient table must be square, got {xi.shape}")
     d = _check_dim(xi.shape[0])
-    cols = np.arange(d)
-    phases = phase_vector(d, cols[:, None] * cols)  # phases[k, n] = omega**(n*k)
+    c = dim_constants(d)
     # X_l Z_k is nonzero only on the l-th wrapped diagonal, so entry
     # (n + l, n) of the sum collects xi[l, k] * omega**(n*k) over k alone;
     # accumulating k in order keeps the summation order of the term-by-term sum.
     diags = np.zeros((d, d), dtype=np.complex128)  # diags[l, n]
     for k in range(d):
-        diags += xi[:, k, None] * phases[k]
+        diags += xi[:, k, None] * c.phases[k]
     out = np.empty((d, d), dtype=np.complex128)
-    out[(cols + cols[:, None]) % d, cols] = diags
+    out[c.rows, np.arange(d)] = diags
     return out
 
 
