@@ -17,11 +17,27 @@ where vec stacks matrix entries with the row index outer, putting the
 system-output factor on the left of the Kronecker product.  J is Hermitian,
 positive semidefinite, has trace d for trace-preserving channels, and
 identifies the map regardless of which Kraus list produced it.
+
+The two factories keep the exact closed form of their channel and build the
+Kraus list only when it is read:
+
+* The dilation channel is classical.  Slot (a, b) holds the rank-one
+  ``gamma[a, b] |a - 2b><-b|``, so every output is diagonal,
+  ``rho -> diag(T diag(rho))`` with the column-stochastic
+  ``T[a - 2b, -b] = |gamma[a, b]|**2``: measure in the computational basis,
+  then prepare (an entanglement-breaking channel).
+* A Weyl channel rescales the coefficient table of its input,
+  ``xi[m, n] -> lam[m, n] * xi[m, n]`` with
+  ``lam[m, n] = sum_{l,k} p[l, k] omega**(k*m - l*n)``, because
+  ``W_lk W_mn W_lk^dagger = omega**(k*m - l*n) W_mn``.
+
+The Kraus form stays the reference: the tests compare both closed forms
+with it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -40,7 +56,7 @@ from .numerics import (
     require_int_field,
     validate_density_matrix,
 )
-from .weyl import weyl_basis
+from .weyl import dim_constants, weyl_basis
 
 __all__ = [
     "QuantumChannel",
@@ -59,52 +75,77 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
 class QuantumChannel:
-    """An ordered list of d x d Kraus operators.
+    """A qudit channel, held in one exact form.
 
-    ``kraus`` may be given as a sequence of matrices or as one (m, d, d)
-    array.  The operators are copied into the read-only (m, d, d) array
-    ``stack``, which the kernels in this module work on; ``kraus`` becomes
-    the tuple of its (read-only) slices.
+    The constructor takes Kraus operators, as a sequence of matrices or as one
+    (m, d, d) array, and copies them into the read-only (m, d, d) array
+    ``stack``; ``kraus`` is the tuple of its (read-only) slices.  It checks
+    shapes only; the factory functions in this module produce trace-preserving
+    channels by construction, and :func:`is_trace_preserving` measures the
+    deficit of any channel, so deliberately incomplete channels can still be
+    represented and examined.
 
-    The constructor checks shapes only; the factory functions in this module
-    produce trace-preserving lists by construction, and
-    :func:`is_trace_preserving` measures the deficit of any list, so
-    deliberately incomplete channels can still be represented and examined.
+    :func:`channel_from_dilation` and :func:`weyl_channel` hold a closed form
+    instead, the stochastic matrix ``transition`` or the coefficient
+    multiplier ``multiplier`` (see the module docstring); the other one is
+    None.  Their ``stack`` and ``kraus`` are built on first access and
+    cached.  ``len(ch)`` counts the Kraus operators without building them.
     """
 
-    d: int
-    kraus: tuple = field(repr=False)
-    stack: np.ndarray = field(init=False, repr=False)
+    transition = None
+    multiplier = None
 
-    def __post_init__(self):
-        d = self.d
+    def __init__(self, d: int, kraus):
         if d < 2:
             raise DomainError(f"channel dimension must be >= 2, got {d}")
-        ops = self.kraus
+        ops = kraus
+        try:  # one copy of an array or of a sequence of equal-shape matrices
+            ops = np.array(kraus, dtype=np.complex128)
+        except (TypeError, ValueError):  # ragged or non-numeric: scanned one operator at a time below
+            pass
         if isinstance(ops, np.ndarray) and ops.ndim == 3:
             # The operators of one array share a shape, so a wrong one is reported before non-finite entries.
             n = len(ops) if ops.shape[1:] == (d, d) else 0
         else:
-            ops = [as_matrix(e) for e in ops]
+            ops = [as_matrix(e) for e in kraus]
             # Operators are checked up to the first one of the wrong shape, so a
             # non-finite operator before it is reported first, as in a scan of
             # the list one operator at a time.
             n = next((i for i, e in enumerate(ops) if e.shape != (d, d)), len(ops))
         if not len(ops):
             raise DomainError("a channel needs at least one Kraus operator")
-        stack = np.array(ops[:n], dtype=np.complex128)
+        stack = np.array(ops[:n], dtype=np.complex128, copy=None)  # a copy already, unless ops is a list
         if not np.isfinite(stack).all():
             raise ValidationError("Kraus operator contains non-finite entries")
         if n < len(ops):
             raise ShapeError(f"Kraus operators must be {d} x {d}, got {ops[n].shape}")
         stack.setflags(write=False)
-        object.__setattr__(self, "stack", stack)
-        object.__setattr__(self, "kraus", tuple(stack))
+        self.d, self.stack, self._count = d, stack, n
+
+    @classmethod
+    def _closed_form(cls, d: int, count: int, build, **form) -> "QuantumChannel":
+        """A channel held as ``transition`` or ``multiplier``; ``build()`` returns its Kraus form."""
+        ch = cls.__new__(cls)
+        ch.d, ch._count, ch._build = d, count, build
+        for name, table in form.items():
+            table.setflags(write=False)
+            setattr(ch, name, table)
+        return ch
+
+    @cached_property
+    def stack(self) -> np.ndarray:
+        return self._build().stack
+
+    @cached_property
+    def kraus(self) -> tuple:
+        return tuple(self.stack)
 
     def __len__(self) -> int:
-        return len(self.stack)
+        return self._count
+
+    def __repr__(self) -> str:
+        return f"QuantumChannel(d={self.d})"
 
 
 def kraus_from_isometry(v, *, tol: Tolerances = DEFAULT_TOLERANCES) -> QuantumChannel:
@@ -148,17 +189,29 @@ def _dagger(stack: np.ndarray) -> np.ndarray:
 def apply_channel(ch: QuantumChannel, rho, *, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     """Evolve a density matrix: ``sum_m E_m rho E_m^dagger``.
 
-    The Kraus sum is accumulated in list order (a reduction over the first
-    axis of the stack), so results are deterministic.
+    A dilation channel computes ``diag(T diag(rho))``.  A Weyl channel
+    decomposes rho over the basis, scales the coefficients by its
+    multiplier and reconstructs, touching each wrapped diagonal once.  A
+    Kraus list is summed in list order (a reduction over the first axis of
+    the stack), so results are deterministic.
     The output is validated as a density matrix; a failure there means a
     non-trace-preserving or non-positive operator list slipped past
     construction and is reported as such.
     """
     rho = validate_density_matrix(rho, tol=tol)
-    if rho.shape[0] != ch.d:
-        raise ShapeError(f"state dimension {rho.shape[0]} does not match channel dimension {ch.d}")
-    k = ch.stack
-    out = (k @ rho @ _dagger(k)).sum(axis=0)
+    d = ch.d
+    if rho.shape[0] != d:
+        raise ShapeError(f"state dimension {rho.shape[0]} does not match channel dimension {d}")
+    if ch.transition is not None:
+        out = np.diag(ch.transition @ np.diagonal(rho))
+    elif ch.multiplier is not None:
+        c = dim_constants(d)  # as in weyl.decompose / weyl.reconstruct
+        n = np.arange(d)
+        out = np.empty((d, d), dtype=np.complex128)
+        out[c.rows, n] = (rho[c.rows, n] @ c.dft.T / d * ch.multiplier) @ c.phases
+    else:
+        k = ch.stack
+        out = (k @ rho @ _dagger(k)).sum(axis=0)
     try:
         return validate_density_matrix(out, tol=tol)
     except ValidationError as exc:
@@ -169,11 +222,18 @@ def is_trace_preserving(ch: QuantumChannel, *, tol: Tolerances = DEFAULT_TOLERAN
     """Completeness check: ``(ok, deficit)``.
 
     ``deficit = ||sum_m E_m^dagger E_m - I||_F`` and ``ok`` holds iff it is
-    below ``tol.cptp``.  The dual condition (unitality) is measured
+    below ``tol.cptp``.  That sum is ``diag(column sums of T)`` for a
+    dilation channel and ``lam[0, 0] * I`` for a Weyl channel, where
+    ``lam[0, 0] = sum p``.  The dual condition (unitality) is measured
     separately by :func:`unitality_deficit`.
     """
-    acc = (_dagger(ch.stack) @ ch.stack).sum(axis=0)
-    deficit = frobenius_distance(acc, np.eye(ch.d))
+    if ch.transition is not None:
+        deficit = float(np.linalg.norm(ch.transition.sum(axis=0) - 1.0))
+    elif ch.multiplier is not None:
+        deficit = float(np.sqrt(ch.d) * abs(ch.multiplier[0, 0] - 1.0))
+    else:
+        acc = (_dagger(ch.stack) @ ch.stack).sum(axis=0)
+        deficit = frobenius_distance(acc, np.eye(ch.d))
     return deficit < tol.cptp, deficit
 
 
@@ -191,6 +251,10 @@ def weyl_channel(weights, *, tol: Tolerances = DEFAULT_TOLERANCES) -> QuantumCha
     unitary.  Non-finite weights are rejected and zero-weight elements are
     omitted.  The uniform table ``p = 1/d**2`` gives the completely
     depolarizing channel ``rho -> I/d``.
+
+    The channel holds the multiplier
+    ``lam[m, n] = sum_{l,k} p[l, k] omega**(k*m - l*n)`` of the kept weights;
+    the Kraus operators are built when first read.
     """
     p = np.asarray(weights)
     if np.iscomplexobj(p):
@@ -208,25 +272,43 @@ def weyl_channel(weights, *, tol: Tolerances = DEFAULT_TOLERANCES) -> QuantumCha
     if abs(total - 1.0) > tol.norm:
         raise DomainError(f"weights must sum to 1 within {tol.norm}, got {total!r}")
     d = p.shape[0]
-    keep = (np.sqrt(p * d) >= tol.prune).ravel()
+    keep = np.sqrt(p * d) >= tol.prune
     if not keep.any():
         raise DomainError("all weights prune to zero")
-    ops = np.sqrt(p.ravel()[keep])[:, None, None] * weyl_basis(d).elements[keep]
-    return QuantumChannel(d=d, kraus=ops)
+    c = dim_constants(d)  # c.phases[m, k] = omega**(k*m), c.dft[l, n] = omega**(-l*n)
+    lam = c.phases @ np.where(keep, p, 0.0).T @ c.dft
+
+    def kraus():
+        return QuantumChannel(d=d, kraus=np.sqrt(p[keep])[:, None, None] * weyl_basis(d).elements[keep.ravel()])
+
+    return QuantumChannel._closed_form(d, int(keep.sum()), kraus, multiplier=lam)
 
 
 def channel_from_dilation(g: GammaTable, *, tol: Tolerances = DEFAULT_TOLERANCES) -> QuantumChannel:
-    """Kraus form of the channel realized by the gamma-table dilation.
+    """The channel realized by the gamma-table dilation.
 
     For every density matrix the result reproduces
     ``partial_trace_env(V rho V^dagger)``.  Environment slot ``(a, b)``
     contributes the rank-one operator ``gamma[a, b] |a - 2b><-b|`` (indices
-    mod d), so the extracted list is rank-one throughout.
+    mod d), so the channel is held as the stochastic matrix
+    ``T[a - 2b, -b] = |gamma[a, b]|**2``; the Kraus list, sliced from
+    ``make_isometry(g)`` with the slots below ``tol.prune`` dropped, is built
+    when first read.
 
     ``V^dagger V`` is diag(column masses of ``g``), each within ``tol.norm`` of 1;
     its Frobenius defect can reach ``sqrt(d) * tol.norm``, so it is not checked again.
     """
-    return _kraus_from_slots(make_isometry(g), tol)
+    d = g.d
+    mass = (g.gamma.conj() * g.gamma).real  # the squared norm of slot (a, b), as the Kraus slicing computes it
+    keep = np.sqrt(mass) >= tol.prune
+    a, b = np.indices((d, d))
+    t = np.zeros((d, d))
+    t[(a - 2 * b) % d, -b % d] = np.where(keep, mass, 0.0)
+
+    def kraus():
+        return _kraus_from_slots(make_isometry(g), tol)
+
+    return QuantumChannel._closed_form(d, int(keep.sum()), kraus, transition=t)
 
 
 def choi_matrix(ch: QuantumChannel) -> np.ndarray:
@@ -234,11 +316,14 @@ def choi_matrix(ch: QuantumChannel) -> np.ndarray:
 
     Computed as ``sum_m vec(E_m) vec(E_m)^dagger`` with row-outer vec, which
     places the system-output factor on the left: one product ``K^T conj(K)``
-    of the (m, d**2) matrix K whose rows are the vecs.  J is Hermitian and
-    positive semidefinite; its trace equals d exactly when the channel is
-    trace-preserving, and it is invariant under unitary mixing of the Kraus
-    list.
+    of the (m, d**2) matrix K whose rows are the vecs.  For a dilation
+    channel every vec has one nonzero entry, so J is ``diag(T.ravel())``.
+    J is Hermitian and positive semidefinite; its trace equals d exactly when
+    the channel is trace-preserving, and it is invariant under unitary mixing
+    of the Kraus list.
     """
+    if ch.transition is not None:
+        return np.diag(ch.transition.ravel().astype(np.complex128))
     k = ch.stack.reshape(len(ch), ch.d * ch.d)
     return k.T @ k.conj()
 

@@ -26,11 +26,18 @@ where the unnormalized environment vectors ``v_{lk}`` have components
 ``omega**(z*k) * gamma[z + l, z]`` at environment index ``(z + l, z)``.
 This module exposes both routes so the regrouping can be checked
 numerically, plus the mixed-state evolution ``rho -> V rho V^dagger``.
+
+Tracing the environment out of that evolution leaves a classical channel:
+``V|i>`` puts ``|i + l>`` with amplitude ``gamma[l - i, -i]`` next to
+orthogonal environment states, so the output is diagonal,
+``rho -> diag(T diag(rho))`` with ``T[i + l, i] = |gamma[l - i, -i]|**2``.
+``channels.channel_from_dilation`` holds the channel in that form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -159,8 +166,7 @@ def evolve_pure(psi, g: GammaTable, *, tol: Tolerances = DEFAULT_TOLERANCES) -> 
     return make_isometry(g) @ psi
 
 
-@dataclass(frozen=True, eq=False)
-class WeylFormTerm:
+class WeylFormTerm(NamedTuple):
     """One (l, k) term of the Weyl regrouping of a joint state.
 
     ``sys`` is ``X_l Z_k |psi>`` (unit norm) and ``env`` is the unnormalized
@@ -170,8 +176,8 @@ class WeylFormTerm:
 
     l: int
     k: int
-    sys: np.ndarray = field(repr=False)
-    env: np.ndarray = field(repr=False)
+    sys: np.ndarray
+    env: np.ndarray
 
 
 def weyl_form_of_joint(psi, g: GammaTable, *, tol: Tolerances = DEFAULT_TOLERANCES) -> list[WeylFormTerm]:
@@ -186,7 +192,7 @@ def weyl_form_of_joint(psi, g: GammaTable, *, tol: Tolerances = DEFAULT_TOLERANC
     c = dim_constants(d)  # c.rows[l, z] = z + l mod d, c.phases[k, z] = omega**(z*k)
     env = np.zeros((d, d, d * d), dtype=np.complex128)
     env[z[:, None, None], z[:, None], c.rows[:, None, :] * d + z] = c.phases * g.gamma[c.rows, z][:, None, :]
-    return [WeylFormTerm(l=l, k=k, sys=sys[l, k], env=env[l, k]) for l in range(d) for k in range(d)]
+    return [WeylFormTerm(l, k, sys[l, k], env[l, k]) for l in range(d) for k in range(d)]
 
 
 def env_gram(g: GammaTable) -> np.ndarray:

@@ -112,7 +112,9 @@ def test_reconstruct_matches_term_loop(d):
 def test_apply_and_completeness_match_kraus_loop(d):
     rng = np.random.default_rng(200 + d)
     rho = random_density(d, rng)
-    for ch in (channel_from_dilation(random_gamma(d, rng)), weyl_channel(_weights(d, rng))):
+    # Kraus-form copies of both factories' channels, so the batched Kraus kernel runs.
+    for source in (channel_from_dilation(random_gamma(d, rng)), weyl_channel(_weights(d, rng))):
+        ch = QuantumChannel(d=d, kraus=source.stack)
         assert np.array_equal(apply_channel(ch, rho), ref_kraus_sum(ch, rho))
         _, deficit = is_trace_preserving(ch)
         assert deficit == frobenius_distance(ref_completeness(ch), np.eye(d))

@@ -350,3 +350,22 @@ class TestQuantumChannelType:
         ch = QuantumChannel(d=2, kraus=(np.eye(2),))
         with pytest.raises(ValueError):
             ch.kraus[0][0, 0] = 7.0
+
+    # A list of equal-shape matrices is converted in one step; any other list
+    # is scanned one operator at a time, so these errors keep their messages.
+    @pytest.mark.parametrize(
+        "ops, error, message",
+        [
+            ([np.eye(3), np.eye(3)], ShapeError, "Kraus operators must be 2 x 2, got (3, 3)"),
+            ([np.full((2, 2), np.nan), np.eye(3)], ValidationError, "Kraus operator contains non-finite entries"),
+            ([np.eye(3), np.full((2, 2), np.nan)], ShapeError, "Kraus operators must be 2 x 2, got (3, 3)"),
+            ([np.ones(2), np.ones(2)], ShapeError, "expected a 2-d matrix, got array of rank 1"),
+            ([np.eye(2), np.eye(2)[:1]], ShapeError, "Kraus operators must be 2 x 2, got (1, 2)"),
+            ([np.eye(2), [["a", "b"], ["c", "d"]]], ValueError, "complex() arg is a malformed string"),
+        ],
+        ids=["wrong-shape", "nan-before-wrong-shape", "wrong-shape-before-nan", "1-d-items", "ragged", "non-numeric"],
+    )
+    def test_list_errors(self, ops, error, message):
+        with pytest.raises(error) as caught:
+            QuantumChannel(d=2, kraus=ops)
+        assert type(caught.value) is error and str(caught.value) == message
