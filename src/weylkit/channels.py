@@ -18,21 +18,13 @@ system-output factor on the left of the Kronecker product.  J is Hermitian,
 positive semidefinite, has trace d for trace-preserving channels, and
 identifies the map regardless of which Kraus list produced it.
 
-The two factories keep the exact closed form of their channel and build the
-Kraus list only when it is read:
-
-* The dilation channel is classical.  Slot (a, b) holds the rank-one
-  ``gamma[a, b] |a - 2b><-b|``, so every output is diagonal,
-  ``rho -> diag(T diag(rho))`` with the column-stochastic
-  ``T[a - 2b, -b] = |gamma[a, b]|**2``: measure in the computational basis,
-  then prepare (an entanglement-breaking channel).
-* A Weyl channel rescales the coefficient table of its input,
-  ``xi[m, n] -> lam[m, n] * xi[m, n]`` with
-  ``lam[m, n] = sum_{l,k} p[l, k] omega**(k*m - l*n)``, because
-  ``W_lk W_mn W_lk^dagger = omega**(k*m - l*n) W_mn``.
-
-The Kraus form stays the reference: the tests compare both closed forms
-with it.
+The dilation channel is classical.  Slot (a, b) holds the rank-one
+``gamma[a, b] |a - 2b><-b|``, so every output is diagonal,
+``rho -> diag(T diag(rho))`` with the column-stochastic
+``T[a - 2b, -b] = |gamma[a, b]|**2``: measure in the computational basis,
+then prepare (an entanglement-breaking channel).  The dilation factory keeps
+that matrix and builds the Kraus list only when it is read; the Kraus form
+stays the reference, and the tests compare the closed form with it.
 """
 
 from __future__ import annotations
@@ -56,7 +48,7 @@ from .numerics import (
     require_int_field,
     validate_density_matrix,
 )
-from .weyl import dim_constants, weyl_basis
+from .weyl import weyl_basis
 
 __all__ = [
     "QuantumChannel",
@@ -86,15 +78,13 @@ class QuantumChannel:
     deficit of any channel, so deliberately incomplete channels can still be
     represented and examined.
 
-    :func:`channel_from_dilation` and :func:`weyl_channel` hold a closed form
-    instead, the stochastic matrix ``transition`` or the coefficient
-    multiplier ``multiplier`` (see the module docstring); the other one is
-    None.  Their ``stack`` and ``kraus`` are built on first access and
-    cached.  ``len(ch)`` counts the Kraus operators without building them.
+    :func:`channel_from_dilation` holds the stochastic matrix ``transition``
+    instead (see the module docstring; it is None for a Kraus list).  Its
+    ``stack`` and ``kraus`` are built on first access and cached, and
+    ``len(ch)`` counts the Kraus operators without building them.
+    A channel is immutable: setting or deleting an attribute raises
+    AttributeError.
     """
-
-    transition = None
-    multiplier = None
 
     def __init__(self, d: int, kraus):
         if d < 2:
@@ -115,23 +105,33 @@ class QuantumChannel:
             n = next((i for i, e in enumerate(ops) if e.shape != (d, d)), len(ops))
         if not len(ops):
             raise DomainError("a channel needs at least one Kraus operator")
-        stack = np.array(ops[:n], dtype=np.complex128, copy=None)  # a copy already, unless ops is a list
+        stack = np.asarray(ops[:n], dtype=np.complex128)  # copies a list only; the array above is fresh
         if not np.isfinite(stack).all():
             raise ValidationError("Kraus operator contains non-finite entries")
         if n < len(ops):
             raise ShapeError(f"Kraus operators must be {d} x {d}, got {ops[n].shape}")
         stack.setflags(write=False)
-        self.d, self.stack, self._count = d, stack, n
+        object.__setattr__(self, "stack", stack)
+        self._hold(d, n, None, None)
 
     @classmethod
-    def _closed_form(cls, d: int, count: int, build, **form) -> "QuantumChannel":
-        """A channel held as ``transition`` or ``multiplier``; ``build()`` returns its Kraus form."""
+    def _classical(cls, d: int, count: int, transition: np.ndarray, build) -> "QuantumChannel":
+        """A channel held as the stochastic matrix ``transition``; ``build()`` returns its Kraus form."""
+        transition.setflags(write=False)
         ch = cls.__new__(cls)
-        ch.d, ch._count, ch._build = d, count, build
-        for name, table in form.items():
-            table.setflags(write=False)
-            setattr(ch, name, table)
+        ch._hold(d, count, transition, build)
         return ch
+
+    def _hold(self, d: int, count: int, transition, build) -> None:
+        """Set the fields once; the channel cannot be changed afterwards."""
+        for name, value in (("d", d), ("_count", count), ("transition", transition), ("_build", build)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("QuantumChannel is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("QuantumChannel is immutable")
 
     @cached_property
     def stack(self) -> np.ndarray:
@@ -189,11 +189,9 @@ def _dagger(stack: np.ndarray) -> np.ndarray:
 def apply_channel(ch: QuantumChannel, rho, *, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     """Evolve a density matrix: ``sum_m E_m rho E_m^dagger``.
 
-    A dilation channel computes ``diag(T diag(rho))``.  A Weyl channel
-    decomposes rho over the basis, scales the coefficients by its
-    multiplier and reconstructs, touching each wrapped diagonal once.  A
-    Kraus list is summed in list order (a reduction over the first axis of
-    the stack), so results are deterministic.
+    A dilation channel computes ``diag(T diag(rho))``.  A Kraus list is
+    summed in list order (a reduction over the first axis of the stack), so
+    results are deterministic.
     The output is validated as a density matrix; a failure there means a
     non-trace-preserving or non-positive operator list slipped past
     construction and is reported as such.
@@ -204,11 +202,6 @@ def apply_channel(ch: QuantumChannel, rho, *, tol: Tolerances = DEFAULT_TOLERANC
         raise ShapeError(f"state dimension {rho.shape[0]} does not match channel dimension {d}")
     if ch.transition is not None:
         out = np.diag(ch.transition @ np.diagonal(rho))
-    elif ch.multiplier is not None:
-        c = dim_constants(d)  # as in weyl.decompose / weyl.reconstruct
-        n = np.arange(d)
-        out = np.empty((d, d), dtype=np.complex128)
-        out[c.rows, n] = (rho[c.rows, n] @ c.dft.T / d * ch.multiplier) @ c.phases
     else:
         k = ch.stack
         out = (k @ rho @ _dagger(k)).sum(axis=0)
@@ -222,15 +215,12 @@ def is_trace_preserving(ch: QuantumChannel, *, tol: Tolerances = DEFAULT_TOLERAN
     """Completeness check: ``(ok, deficit)``.
 
     ``deficit = ||sum_m E_m^dagger E_m - I||_F`` and ``ok`` holds iff it is
-    below ``tol.cptp``.  That sum is ``diag(column sums of T)`` for a
-    dilation channel and ``lam[0, 0] * I`` for a Weyl channel, where
-    ``lam[0, 0] = sum p``.  The dual condition (unitality) is measured
+    below ``tol.cptp``.  For a dilation channel that sum is
+    ``diag(column sums of T)``.  The dual condition (unitality) is measured
     separately by :func:`unitality_deficit`.
     """
     if ch.transition is not None:
         deficit = float(np.linalg.norm(ch.transition.sum(axis=0) - 1.0))
-    elif ch.multiplier is not None:
-        deficit = float(np.sqrt(ch.d) * abs(ch.multiplier[0, 0] - 1.0))
     else:
         acc = (_dagger(ch.stack) @ ch.stack).sum(axis=0)
         deficit = frobenius_distance(acc, np.eye(ch.d))
@@ -251,10 +241,6 @@ def weyl_channel(weights, *, tol: Tolerances = DEFAULT_TOLERANCES) -> QuantumCha
     unitary.  Non-finite weights are rejected and zero-weight elements are
     omitted.  The uniform table ``p = 1/d**2`` gives the completely
     depolarizing channel ``rho -> I/d``.
-
-    The channel holds the multiplier
-    ``lam[m, n] = sum_{l,k} p[l, k] omega**(k*m - l*n)`` of the kept weights;
-    the Kraus operators are built when first read.
     """
     p = np.asarray(weights)
     if np.iscomplexobj(p):
@@ -275,13 +261,7 @@ def weyl_channel(weights, *, tol: Tolerances = DEFAULT_TOLERANCES) -> QuantumCha
     keep = np.sqrt(p * d) >= tol.prune
     if not keep.any():
         raise DomainError("all weights prune to zero")
-    c = dim_constants(d)  # c.phases[m, k] = omega**(k*m), c.dft[l, n] = omega**(-l*n)
-    lam = c.phases @ np.where(keep, p, 0.0).T @ c.dft
-
-    def kraus():
-        return QuantumChannel(d=d, kraus=np.sqrt(p[keep])[:, None, None] * weyl_basis(d).elements[keep.ravel()])
-
-    return QuantumChannel._closed_form(d, int(keep.sum()), kraus, multiplier=lam)
+    return QuantumChannel(d=d, kraus=np.sqrt(p[keep])[:, None, None] * weyl_basis(d).elements[keep.ravel()])
 
 
 def channel_from_dilation(g: GammaTable, *, tol: Tolerances = DEFAULT_TOLERANCES) -> QuantumChannel:
@@ -308,7 +288,7 @@ def channel_from_dilation(g: GammaTable, *, tol: Tolerances = DEFAULT_TOLERANCES
     def kraus():
         return _kraus_from_slots(make_isometry(g), tol)
 
-    return QuantumChannel._closed_form(d, int(keep.sum()), kraus, transition=t)
+    return QuantumChannel._classical(d, int(keep.sum()), t, kraus)
 
 
 def choi_matrix(ch: QuantumChannel) -> np.ndarray:

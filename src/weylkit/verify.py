@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channels import apply_channel, channel_from_dilation, is_trace_preserving, weyl_channel
+from .channels import QuantumChannel, apply_channel, channel_from_dilation, is_trace_preserving, weyl_channel
 from .dilation import evolve_density, make_isometry, weyl_form_of_joint
 from .errors import DomainError
 from .numerics import (
@@ -132,6 +132,11 @@ def run_verification(
     return VerifyReport(seed=seed, dims=dims, checks=tuple(results), fault_injected=inject_fault)
 
 
+def _kraus_form(ch: QuantumChannel) -> QuantumChannel:
+    """The channel as its Kraus list, so a check also runs the operators sliced from the isometry."""
+    return QuantumChannel(d=ch.d, kraus=ch.stack)
+
+
 def _lie_closure_pairs(d, rng) -> list[tuple[int, int]]:
     """Basis index pairs (x, y) for ``lie_closure``, ascending: all d**4, or 4096 drawn from them."""
     n = d * d
@@ -199,9 +204,10 @@ def _checks_for_dim(d, rng, draws, inject_fault):
         for _ in range(draws):
             g = random_gamma(d, rng)
             rho = random_density(d, rng)
-            via_kraus = apply_channel(channel_from_dilation(g), rho)
+            ch = channel_from_dilation(g)
             via_trace = partial_trace_env(evolve_density(rho, g), d, d * d)
-            worst = max(worst, frobenius_distance(via_kraus, via_trace))
+            for form in (ch, _kraus_form(ch)):
+                worst = max(worst, frobenius_distance(apply_channel(form, rho), via_trace))
         return worst
 
     yield "kraus_vs_partial_trace", kraus_vs_partial_trace, 1e-10
@@ -226,12 +232,9 @@ def _checks_for_dim(d, rng, draws, inject_fault):
     yield "serialization_roundtrip", serialization_roundtrip, 0.0
 
     def trace_preservation():
-        worst = 0.0
-        for _ in range(draws):
-            _, deficit = is_trace_preserving(channel_from_dilation(random_gamma(d, rng)))
-            worst = max(worst, deficit)
-        _, deficit = is_trace_preserving(weyl_channel(np.full((d, d), 1.0 / (d * d))))
-        return max(worst, deficit)
+        channels = [channel_from_dilation(random_gamma(d, rng)) for _ in range(draws)]
+        channels.append(weyl_channel(np.full((d, d), 1.0 / (d * d))))
+        return max(is_trace_preserving(form)[1] for ch in channels for form in (ch, _kraus_form(ch)))
 
     yield "trace_preservation", trace_preservation, 1e-10
 

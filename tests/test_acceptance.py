@@ -115,11 +115,12 @@ def test_05_operator_sum_equality():
             g = random_gamma(d, rng)
             rho = random_density(d, rng)
             ch = channel_from_dilation(g)
-            ok, deficit = is_trace_preserving(ch)
-            assert ok and deficit < 1e-10
-            via_kraus = apply_channel(ch, rho)
+            kraus = QuantumChannel(d=d, kraus=ch.stack)  # the operators sliced from the isometry
             via_trace = partial_trace_env(evolve_density(rho, g), d, d * d)
-            assert frobenius_distance(via_kraus, via_trace) < 1e-10
+            for form in (ch, kraus):
+                ok, deficit = is_trace_preserving(form)
+                assert ok and deficit < 1e-10
+                assert frobenius_distance(apply_channel(form, rho), via_trace) < 1e-10
     report("5 operator-sum equality (Kraus vs partial trace, 50 draws, d in {2,3,5})")
 
 

@@ -351,6 +351,17 @@ class TestQuantumChannelType:
         with pytest.raises(ValueError):
             ch.kraus[0][0, 0] = 7.0
 
+    def test_fields_cannot_be_reassigned(self):
+        gamma = GammaTable(np.eye(2, dtype=complex))
+        weights = np.full((2, 2), 0.25)
+        for ch in (QuantumChannel(d=2, kraus=(np.eye(2),)), channel_from_dilation(gamma), weyl_channel(weights)):
+            for name in ("d", "stack", "transition", "_count"):
+                with pytest.raises(AttributeError, match="immutable"):
+                    setattr(ch, name, None)
+                with pytest.raises(AttributeError, match="immutable"):
+                    delattr(ch, name)
+            assert ch.d == 2 and len(ch) == len(ch.stack)
+
     # A list of equal-shape matrices is converted in one step; any other list
     # is scanned one operator at a time, so these errors keep their messages.
     @pytest.mark.parametrize(

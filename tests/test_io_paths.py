@@ -98,7 +98,8 @@ CLI_GOLDENS = {
     ),
     "channel": (
         ["channel", "--weights", "w", "--rho", "rho"],
-        '{"rows": 2, "cols": 2, "entries": [[0.5, 0], [0, -0.125], [0, 0.125], [0.5, 0]]}\n',
+        '{"rows": 2, "cols": 2, "entries": [[0.5, 0], [0, -0.12500000000000003], '
+        "[0, 0.12500000000000003], [0.5, 0]]}\n",
         '{"d": 2, "kraus_count": 3, "trace_preservation_deficit": 0}\n',
     ),
     "choi": (

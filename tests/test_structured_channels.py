@@ -1,7 +1,6 @@
-"""The closed forms of the two channel factories against their Kraus form.
+"""The closed form of the dilation channel against its Kraus form.
 
-``channel_from_dilation`` holds the column-stochastic matrix ``transition``
-and ``weyl_channel`` the coefficient multiplier ``multiplier``.
+``channel_from_dilation`` holds the column-stochastic matrix ``transition``.
 ``QuantumChannel(d=d, kraus=ch.stack)`` is the same channel in Kraus form,
 run by the batched Kraus kernels; over the whole advertised range the two
 forms agree within 1e-12 (a few ULP of quantities of size at most d).
@@ -21,30 +20,16 @@ from weylkit import (
     channel_from_dilation,
     channel_to_json,
     choi_matrix,
-    decompose,
     is_trace_preserving,
     make_isometry,
-    omega,
     replace_tolerance,
-    weyl_basis,
     weyl_channel,
 )
 from weylkit.rand import random_density, random_gamma
-from weylkit.weyl import dim_constants
 
 DIMS = range(2, 33)
 TOL = 1e-12
 PRUNE = DEFAULT_TOLERANCES.prune
-
-
-def _weights(d, rng, nonzero=None):
-    """Random Weyl weights; with ``nonzero``, only that many entries are positive."""
-    p = rng.random((d, d)) + 0.01
-    if nonzero is not None:
-        mask = np.zeros(d * d, dtype=bool)
-        mask[rng.choice(d * d, size=nonzero, replace=False)] = True
-        p = np.where(mask.reshape(d, d), p, 0.0)
-    return p / p.sum()
 
 
 def _sparse_gamma(d, rng):
@@ -56,12 +41,7 @@ def _sparse_gamma(d, rng):
 
 
 def _channels(d, rng):
-    return [
-        channel_from_dilation(random_gamma(d, rng)),
-        channel_from_dilation(_sparse_gamma(d, rng)),
-        weyl_channel(_weights(d, rng)),
-        weyl_channel(_weights(d, rng, nonzero=min(5, d * d))),
-    ]
+    return [channel_from_dilation(random_gamma(d, rng)), channel_from_dilation(_sparse_gamma(d, rng))]
 
 
 def _max_diff(a, b):
@@ -76,30 +56,29 @@ def test_closed_forms_match_kraus_oracle(d):
         count = len(ch)
         out = apply_channel(ch, rho)
         _, deficit = is_trace_preserving(ch)
-        choi = choi_matrix(ch) if ch.transition is not None else None
+        choi = choi_matrix(ch)
         # Neither the count nor the closed-form kernels build the Kraus stack.
         assert "stack" not in vars(ch)
         oracle = QuantumChannel(d=d, kraus=ch.stack)
         assert count == len(oracle)
         assert _max_diff(out, apply_channel(oracle, rho)) <= TOL
         assert abs(deficit - is_trace_preserving(oracle)[1]) <= TOL
-        if choi is not None:
-            assert _max_diff(choi, choi_matrix(oracle)) <= TOL
+        assert _max_diff(choi, choi_matrix(oracle)) <= TOL
 
 
 @pytest.mark.parametrize("d", [2, 5, 16])
-def test_deficits_of_incomplete_tables_match_kraus_oracle(d):
-    # Tables 5 % off normalization, accepted under a loose norm tolerance.
+def test_deficit_of_an_incomplete_table_matches_kraus_oracle(d):
+    # A table 5 % off normalization, accepted under a loose norm tolerance.
     rng = np.random.default_rng(550 + d)
     loose = replace_tolerance(DEFAULT_TOLERANCES, "norm", 0.1)
     g = GammaTable(random_gamma(d, rng).gamma * np.sqrt(1.05), tol=loose)
-    for ch in (channel_from_dilation(g, tol=loose), weyl_channel(_weights(d, rng) * 1.05, tol=loose)):
-        oracle = QuantumChannel(d=d, kraus=ch.stack)
-        ok, deficit = is_trace_preserving(ch)
-        assert not ok and abs(deficit - np.sqrt(d) * 0.05) <= TOL
-        assert abs(deficit - is_trace_preserving(oracle)[1]) <= TOL
-        with pytest.raises(ValidationError, match="not CPTP"):
-            apply_channel(ch, random_density(d, rng))
+    ch = channel_from_dilation(g, tol=loose)
+    oracle = QuantumChannel(d=d, kraus=ch.stack)
+    ok, deficit = is_trace_preserving(ch)
+    assert not ok and abs(deficit - np.sqrt(d) * 0.05) <= TOL
+    assert abs(deficit - is_trace_preserving(oracle)[1]) <= TOL
+    with pytest.raises(ValidationError, match="not CPTP"):
+        apply_channel(ch, random_density(d, rng))
 
 
 def test_dilation_count_matches_pruning_at_the_threshold():
@@ -122,43 +101,12 @@ def _former_dilation_kraus(g):
     return ops[np.linalg.norm(ops, axis=(1, 2)) >= PRUNE]
 
 
-def _former_weyl_kraus(p):
-    """The Kraus stack the Weyl factory built before, from the basis."""
-    d = p.shape[0]
-    keep = (np.sqrt(p * d) >= PRUNE).ravel()
-    return np.sqrt(p.ravel()[keep])[:, None, None] * weyl_basis(d).elements[keep]
-
-
 @pytest.mark.parametrize("d", range(2, 9))
 def test_channel_documents_are_unchanged(d):
     rng = np.random.default_rng(600 + d)
     for g in (random_gamma(d, rng), _sparse_gamma(d, rng)):
         former = QuantumChannel(d=d, kraus=_former_dilation_kraus(g))
         assert channel_to_json(channel_from_dilation(g)) == channel_to_json(former)
-    for p in (_weights(d, rng), _weights(d, rng, nonzero=min(5, d * d))):
-        former = QuantumChannel(d=d, kraus=_former_weyl_kraus(p))
-        assert channel_to_json(weyl_channel(p)) == channel_to_json(former)
-
-
-@pytest.mark.parametrize("d", [3, 5, 8])
-def test_multiplier_sign_is_pinned(d):
-    rng = np.random.default_rng(700 + d)
-    p = _weights(d, rng)
-    ch = weyl_channel(p)
-    w = omega(d)
-    m, n = np.indices((d, d))
-    direct = sum(p[l, k] * w ** ((k * m - l * n) % d) for l in range(d) for k in range(d))
-    opposite = sum(p[l, k] * w ** ((l * n - k * m) % d) for l in range(d) for k in range(d))
-    assert _max_diff(ch.multiplier, direct) <= TOL
-    assert _max_diff(ch.multiplier, opposite) > 1e-6
-    # The multiplier scales the coefficient table of the input ...
-    rho = random_density(d, rng)
-    assert _max_diff(decompose(apply_channel(ch, rho)), ch.multiplier * decompose(rho)) <= TOL
-    # ... and the one of the opposite sign is another channel than the Kraus list.
-    c = dim_constants(d)
-    flipped = QuantumChannel._closed_form(d, len(ch), None, multiplier=c.dft @ p.T @ c.phases)
-    oracle = QuantumChannel(d=d, kraus=ch.stack)
-    assert _max_diff(apply_channel(flipped, rho), apply_channel(oracle, rho)) > 1e-6
 
 
 def test_dilation_output_is_diagonal():
@@ -168,17 +116,11 @@ def test_dilation_output_is_diagonal():
     assert np.count_nonzero(out - np.diag(np.diagonal(out))) == 0
 
 
-@pytest.mark.parametrize("factory", ["dilation", "weyl"])
-def test_closed_forms_and_kraus_views_are_read_only(factory):
+def test_closed_form_and_kraus_views_are_read_only():
     rng = np.random.default_rng(900)
-    if factory == "dilation":
-        ch = channel_from_dilation(random_gamma(3, rng))
-        table = ch.transition
-    else:
-        ch = weyl_channel(_weights(3, rng))
-        table = ch.multiplier
+    ch = channel_from_dilation(random_gamma(3, rng))
     with pytest.raises(ValueError):
-        table[0, 0] = 7.0
+        ch.transition[0, 0] = 7.0
     assert ch.stack is ch.stack and not ch.stack.flags.writeable
     assert ch.kraus is ch.kraus and len(ch.kraus) == len(ch)
     with pytest.raises(ValueError):
@@ -189,7 +131,11 @@ def test_closed_forms_and_kraus_views_are_read_only(factory):
 @given(d=st.integers(2, 32), seed=st.integers(0, 2**32 - 1), weyl=st.booleans())
 def test_property_factories_are_cptp(d, seed, weyl):
     rng = np.random.default_rng(seed)
-    ch = weyl_channel(_weights(d, rng)) if weyl else channel_from_dilation(random_gamma(d, rng))
+    if weyl:
+        p = rng.random((d, d))
+        ch = weyl_channel(p / p.sum())
+    else:
+        ch = channel_from_dilation(random_gamma(d, rng))
     ok, deficit = is_trace_preserving(ch)
     assert ok and deficit <= TOL
     j = choi_matrix(ch)
