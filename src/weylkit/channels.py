@@ -48,7 +48,7 @@ from .numerics import (
     require_int_field,
     validate_density_matrix,
 )
-from .weyl import weyl_basis
+from .weyl import _weyl_stack
 
 __all__ = [
     "QuantumChannel",
@@ -261,7 +261,7 @@ def weyl_channel(weights, *, tol: Tolerances = DEFAULT_TOLERANCES) -> QuantumCha
     keep = np.sqrt(p * d) >= tol.prune
     if not keep.any():
         raise DomainError("all weights prune to zero")
-    return QuantumChannel(d=d, kraus=np.sqrt(p[keep])[:, None, None] * weyl_basis(d).elements[keep.ravel()])
+    return QuantumChannel(d=d, kraus=_weyl_stack(d, *np.nonzero(keep), np.sqrt(p[keep])))
 
 
 def channel_from_dilation(g: GammaTable, *, tol: Tolerances = DEFAULT_TOLERANCES) -> QuantumChannel:

@@ -292,6 +292,8 @@ def _cmd_verify(args) -> int:
         _check_d(d)
     if args.draws < 1:
         raise _Usage(f"--draws must be at least 1, got {args.draws}")
+    if args.seed < 0:
+        raise _Usage(f"--seed must be non-negative, got {args.seed}")
     report = run_verification(dims, seed=args.seed, draws=args.draws, inject_fault=args.inject_fault)
     text = report.to_table() if args.format == "table" else report.to_json()
     _write_text(args.out, text)

@@ -51,7 +51,7 @@ from .numerics import (
     validate_density_matrix,
     validate_ket,
 )
-from .weyl import dim_constants, weyl_basis
+from .weyl import dim_constants
 
 __all__ = [
     "GammaTable",
@@ -186,10 +186,11 @@ def weyl_form_of_joint(psi, g: GammaTable, *, tol: Tolerances = DEFAULT_TOLERANC
     d = g.d
     if psi.shape[0] != d:
         raise ShapeError(f"state dimension {psi.shape[0]} does not match gamma dimension {d}")
-    sys = (weyl_basis(d).elements @ psi).reshape(d, d, d)
-    # env[l, k] has omega**(z*k) * gamma[z + l, z] at environment index (z + l, z).
     z = np.arange(d)
     c = dim_constants(d)  # c.rows[l, z] = z + l mod d, c.phases[k, z] = omega**(z*k)
+    # sys[l, k] = X_l Z_k psi has omega**(z*k) * psi[z] at system index z + l, read back from z = r - l.
+    sys = (c.phases * psi)[z[:, None], c.rows[-z % d][:, None, :]]
+    # env[l, k] has omega**(z*k) * gamma[z + l, z] at environment index (z + l, z).
     env = np.zeros((d, d, d * d), dtype=np.complex128)
     env[z[:, None, None], z[:, None], c.rows[:, None, :] * d + z] = c.phases * g.gamma[c.rows, z][:, None, :]
     return [WeylFormTerm(l, k, sys[l, k], env[l, k]) for l in range(d) for k in range(d)]

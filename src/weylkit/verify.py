@@ -25,7 +25,7 @@ from .numerics import (
     partial_trace_env,
 )
 from .rand import random_complex_matrix, random_density, random_gamma, random_ket
-from .weyl import decompose, gram_matrix, reconstruct, weyl_basis
+from .weyl import decompose, dim_constants, gram_matrix, reconstruct, weyl_basis
 
 __all__ = ["CheckResult", "VerifyReport", "run_verification", "DEFAULT_SEED"]
 
@@ -110,6 +110,8 @@ def run_verification(
     for d in dims:
         if d < D_MIN or d > D_MAX:
             raise DomainError(f"verify requires {D_MIN} <= d <= {D_MAX}, got {d}")
+    if seed < 0:
+        raise DomainError(f"seed must be non-negative, got {seed}")
 
     results = []
     for d in dims:
@@ -137,11 +139,10 @@ def _kraus_form(ch: QuantumChannel) -> QuantumChannel:
     return QuantumChannel(d=ch.d, kraus=ch.stack)
 
 
-def _lie_closure_pairs(d, rng) -> list[tuple[int, int]]:
-    """Basis index pairs (x, y) for ``lie_closure``, ascending: all d**4, or 4096 drawn from them."""
-    n = d * d
-    picks = range(n * n) if n * n <= 4096 else np.sort(rng.choice(n * n, size=4096, replace=False))
-    return [divmod(int(i), n) for i in picks]
+def _bracket_coefficients(d: int, l: int) -> np.ndarray:
+    """``c[k, m, n] = omega**(k*m) - omega**(n*l)``, so ``[X_l Z_k, X_m Z_n] = c * X_{l+m} Z_{k+n}``."""
+    e = np.arange(d)  # each root from its own np.exp, independent of the cached tables
+    return np.exp(2j * np.pi * (np.outer(e, e) % d) / d)[:, :, None] - np.exp(2j * np.pi * (e * l % d) / d)
 
 
 def _checks_for_dim(d, rng, draws, inject_fault):
@@ -213,12 +214,17 @@ def _checks_for_dim(d, rng, draws, inject_fault):
     yield "kraus_vs_partial_trace", kraus_vs_partial_trace, 1e-10
 
     def lie_closure():
+        # Every pair, l at a time, in monomial form: cols[l, k, j] is the entry of column j
+        # of X_l Z_k (at row j + l), and each product below is the entry at row j + l + m.
+        z = np.arange(d)
+        rows = dim_constants(d).rows  # rows[a, j] = (j + a) % d
+        cols = basis.elements.reshape(d, d, d, d)[z[:, None, None], z[:, None], rows[:, None, :], z]
         worst = 0.0
-        for x, y in _lie_closure_pairs(d, rng):
-            wx = basis.elements[x]
-            wy = basis.elements[y]
-            comm = wx @ wy - wy @ wx
-            worst = max(worst, frobenius_distance(reconstruct(decompose(comm)), comm))
+        for l in range(d):
+            comm = cols[l].take(rows, axis=1)[:, :, None, :] * cols  # W_x W_y as (k, m, n, j), C-ordered
+            comm -= cols[:, :, rows[l]] * cols[l][:, None, None, :]  # W_y W_x
+            comm -= _bracket_coefficients(d, l)[..., None] * cols[rows[l][:, None], rows[:, None, :]]
+            worst = max(worst, float(np.max(np.linalg.norm(comm, axis=-1))))
         return worst
 
     yield "lie_closure", lie_closure, 1e-10

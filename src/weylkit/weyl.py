@@ -15,13 +15,13 @@ are accepted and normalized; phases ``omega**e`` are evaluated with the
 exponent reduced mod d first, which bounds the phase error independently of
 how large the raw exponent grows.
 
-Every function here depends on d only through fixed per-dimension constants:
-the d roots ``omega**e``, the phase tables ``omega**(n*k)`` and
-``omega**(-n*k)``, the wrapped-diagonal index ``(n + l) % d`` and the basis
-stack.  Each is computed once per process for the most recently used
-dimensions (bounded LRU caches of ``_MEMO_DIMS`` entries) and shared
-read-only.  The basis stack dominates that memory: d**4 complex entries,
-16 MiB at d = 32, so the worst case, eight bases at d = 25..32, holds 84 MiB.
+Every element is monomial: column n of ``X_l Z_k`` holds ``omega**(n*k)`` at
+row ``(n + l) % d`` and nothing else.  The kernels work from that layout and
+per-dimension constants: the d roots ``omega**e``, the phase tables
+``omega**(n*k)`` and ``omega**(-n*k)`` and the wrapped-diagonal index
+``(n + l) % d``, each computed once per process for the most recently used
+dimensions (bounded LRU caches of ``_MEMO_DIMS`` entries) and shared read-only.
+The d**4 stack of all elements is built only when the basis itself is asked for.
 """
 
 from __future__ import annotations
@@ -67,8 +67,7 @@ def omega(d: int) -> complex:
 
 _QUARTER_TURNS = np.array([1.0, 1.0j, -1.0, -1.0j], dtype=np.complex128)
 
-# Number of dimensions whose constants stay cached; sweeps over a few small d
-# hit the cache, and eight d = 32 basis stacks bound the memory (see above).
+# Number of dimensions whose constants stay cached; sweeps over a few small d hit the cache.
 _MEMO_DIMS = 8
 
 
@@ -125,30 +124,24 @@ def phase_vector(d: int, exponents) -> np.ndarray:
 
 def shift_matrix(d: int, l: int) -> np.ndarray:
     """Cyclic shift ``X_l``: permutation with ``X[m, n] = 1`` iff ``m = n + l mod d``."""
-    d = _check_dim(d)
-    x = np.zeros((d, d), dtype=np.complex128)
-    cols = np.arange(d)
-    x[(cols + l) % d, cols] = 1.0
-    return x
+    return weyl_element(d, l, 0)
 
 
 def clock_matrix(d: int, k: int) -> np.ndarray:
     """Phase ramp ``Z_k = diag(omega**(0k), omega**(1k), ..., omega**((d-1)k))``."""
-    d = _check_dim(d)
-    return np.diag(phase_vector(d, np.arange(d) * int(k)))
+    return weyl_element(d, 0, k)
 
 
 def weyl_element(d: int, l: int, k: int) -> np.ndarray:
-    """The basis element ``X_l Z_k``.
+    """The basis element ``X_l Z_k``, from its entries: ``W[m, n] = omega**(n*k)`` iff ``m = n + l mod d``.
 
-    Built directly from the entry formula ``W[m, n] = omega**(n*k)`` iff
-    ``m = n + l mod d`` (d nonzero entries); equal to
-    ``shift_matrix(d, l) @ clock_matrix(d, k)``.
+    Any integers ``l`` and ``k`` are reduced mod d first.  Equal to ``shift_matrix(d, l) @ clock_matrix(d, k)``.
     """
     d = _check_dim(d)
+    l, k = int(l) % d, int(k) % d
     w = np.zeros((d, d), dtype=np.complex128)
     cols = np.arange(d)
-    w[(cols + l) % d, cols] = phase_vector(d, cols * int(k))
+    w[(cols + l) % d, cols] = phase_vector(d, cols * k)
     return w
 
 
@@ -190,23 +183,19 @@ class WeylBasis:
         return iter(self.elements)
 
 
+def _weyl_stack(d: int, l: np.ndarray, k: np.ndarray, c=None) -> np.ndarray:
+    """The (m, d, d) stack of ``c[j] * X_{l[j]} Z_{k[j]}`` (bare elements for ``c=None``), labels in [0, d)."""
+    t = dim_constants(d)
+    values = t.phases[k] if c is None else c[:, None] * t.phases[k]
+    out = np.zeros((len(l), d, d), dtype=np.complex128)
+    out[np.arange(len(l))[:, None], t.rows[l], np.arange(d)] = values
+    return out
+
+
 def weyl_basis(d: int) -> WeylBasis:
-    """The full Weyl-Heisenberg basis for dimension ``d``, shared read-only.
-
-    All d**2 elements are written in one indexed assignment; element
-    ``[l * d + k]`` equals ``weyl_element(d, l, k)`` exactly.  The basis is
-    built once per dimension and the same instance is returned afterwards.
-    """
-    return _weyl_basis(_check_dim(d))
-
-
-@lru_cache(maxsize=_MEMO_DIMS)
-def _weyl_basis(d: int) -> WeylBasis:
-    idx = np.arange(d)
-    c = dim_constants(d)
-    w = np.zeros((d, d, d, d), dtype=np.complex128)  # [l, k, row, col]
-    w[idx[:, None, None], idx[:, None], c.rows[:, None, :], idx] = c.phases
-    return WeylBasis(d=d, omega=omega(d), elements=_frozen(w.reshape(d * d, d, d)))
+    """The basis for dimension ``d``, built afresh; element ``[l * d + k]`` is ``weyl_element(d, l, k)``."""
+    d = _check_dim(d)
+    return WeylBasis(d=d, omega=omega(d), elements=_frozen(_weyl_stack(d, *np.divmod(np.arange(d * d), d))))
 
 
 def decompose(a) -> np.ndarray:

@@ -33,7 +33,6 @@ from weylkit import (
     weyl_form_of_joint,
 )
 from weylkit.rand import random_complex_matrix, random_density, random_gamma, random_ket, random_unitary
-from weylkit.verify import _lie_closure_pairs
 
 DIMS = range(2, 33)
 PROPERTY_SETTINGS = settings(max_examples=20, deadline=None, database=None)
@@ -196,19 +195,3 @@ def test_property_choi_invariant_under_kraus_mix(d, m, seed):
     mixed = kraus_mix(ch, random_unitary(m, rng))
     assert np.max(np.abs(choi_matrix(mixed) - choi_matrix(ch))) <= 1e-12
 
-
-def _lie_closure_pairs_by_list(d, rng):
-    """The Lie-closure selection as a list of all d**4 pairs, sampled by position."""
-    pairs = [(x, y) for x in range(d * d) for y in range(d * d)]
-    if len(pairs) > 4096:
-        keep = rng.choice(len(pairs), size=4096, replace=False)
-        pairs = [pairs[i] for i in sorted(keep)]
-    return pairs
-
-
-@pytest.mark.parametrize("d", [3, 8, 9, 16])
-def test_lie_closure_pairs_match_list_selection(d):
-    fast, slow = np.random.default_rng(d), np.random.default_rng(d)
-    assert _lie_closure_pairs(d, fast) == _lie_closure_pairs_by_list(d, slow)
-    # Both leave the generator in the same state for the checks after it.
-    assert fast.integers(2 ** 62) == slow.integers(2 ** 62)

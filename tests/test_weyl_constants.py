@@ -1,7 +1,7 @@
 """Per-dimension Weyl constants: computed once, shared read-only, equal to the formulas they replace.
 
-The roots of unity, the (d, d) phase and index tables and the basis stack are
-cached per dimension.  The former uncached ``phase_vector`` and ``env_gram``
+The roots of unity and the (d, d) phase and index tables are cached per
+dimension; the basis stack is built afresh on each call.  The former uncached ``phase_vector`` and ``env_gram``
 are kept below as oracles; the cached versions must match them bit for bit.
 The last classes pin the errors of the ``QuantumChannel`` stack path and the
 exit code of JSON inputs that used to end in a traceback.
@@ -95,16 +95,10 @@ class TestWeylBasisMemo:
     @pytest.mark.parametrize("d", range(2, 33))
     def test_shared_read_only_and_exact(self, d):
         basis = weyl_basis(d)
-        assert weyl_basis(np.int64(d)) is basis
         assert not basis.elements.flags.writeable
         for l in range(d):
             for k in range(d):
                 assert np.array_equal(basis.elements[l * d + k], weyl_element(d, l, k))
-
-    def test_a_sweep_over_six_dims_stays_cached(self):
-        dims = (2, 3, 4, 5, 6, 8)
-        first = [weyl_basis(d) for d in dims]
-        assert all(weyl_basis(d) is b for d, b in zip(dims, first))
 
     @pytest.mark.parametrize("bad", [True, 2.0, 1, np.float64(3.0)])
     def test_rejects_non_dimensions(self, bad):
