@@ -48,7 +48,7 @@ from .numerics import (
     require_int_field,
     validate_density_matrix,
 )
-from .weyl import _weyl_stack
+from .weyl import _weyl_stack, dim_constants
 
 __all__ = [
     "QuantumChannel",
@@ -203,8 +203,8 @@ def apply_channel(ch: QuantumChannel, rho, *, tol: Tolerances = DEFAULT_TOLERANC
     if ch.transition is not None:
         out = np.diag(ch.transition @ np.diagonal(rho))
     else:
-        k = ch.stack
-        out = (k @ rho @ _dagger(k)).sum(axis=0)
+        k = ch.stack  # K rho as one (m d, d) x (d, d) product
+        out = ((k.reshape(-1, d) @ rho).reshape(k.shape) @ _dagger(k)).sum(axis=0)
     try:
         return validate_density_matrix(out, tol=tol)
     except ValidationError as exc:
@@ -250,9 +250,9 @@ def weyl_channel(weights, *, tol: Tolerances = DEFAULT_TOLERANCES) -> QuantumCha
     p = p.astype(np.float64)
     if p.ndim != 2 or p.shape[0] != p.shape[1] or p.shape[0] < 2:
         raise ShapeError(f"weights must be a square (d, d) table with d >= 2, got {p.shape}")
-    if not np.all(np.isfinite(p)):
+    if not np.isfinite(p).all():
         raise DomainError("weights must be finite")
-    if np.any(p < 0):
+    if (p < 0).any():
         raise DomainError(f"weights must be nonnegative, got minimum {p.min()!r}")
     total = float(p.sum())
     if abs(total - 1.0) > tol.norm:
@@ -281,9 +281,9 @@ def channel_from_dilation(g: GammaTable, *, tol: Tolerances = DEFAULT_TOLERANCES
     d = g.d
     mass = (g.gamma.conj() * g.gamma).real  # the squared norm of slot (a, b), as the Kraus slicing computes it
     keep = np.sqrt(mass) >= tol.prune
-    a, b = np.indices((d, d))
-    t = np.zeros((d, d))
-    t[(a - 2 * b) % d, -b % d] = np.where(keep, mass, 0.0)
+    flat = dim_constants(d).flat  # T[l - z, -z] = mass[z + l, z]: T at flat[l, n] reads mass at flat[l, -n]
+    t = np.empty((d, d))
+    t.reshape(-1)[flat] = (mass * keep).reshape(-1)[flat[:, -np.arange(d) % d]]
 
     def kraus():
         return _kraus_from_slots(make_isometry(g), tol)

@@ -25,6 +25,7 @@ excluded from that guarantee).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -82,16 +83,19 @@ def _read_text(path: str) -> str:
 
 
 def _write_text(path: str, text: str) -> None:
-    if path == "-":
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-        return
     try:
+        if path == "-":
+            sys.stdout.write(text)
+            if not text.endswith("\n"):
+                sys.stdout.write("\n")
+            sys.stdout.flush()
+            return
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
             fh.write("\n")
     except OSError as exc:
+        if path == "-":  # e.g. a closed pipe: point stdout at os.devnull so the flush at exit does not raise again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         raise _Usage(f"cannot write {path}: {exc.strerror}") from None
 
 

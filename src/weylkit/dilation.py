@@ -90,12 +90,13 @@ class GammaTable:
         g = as_matrix(self.gamma)
         if g.shape[0] != g.shape[1] or g.shape[0] < 2:
             raise ShapeError(f"gamma table must be square with d >= 2, got {g.shape}")
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise ValidationError("gamma table contains non-finite entries")
-        mass = np.sum(np.abs(g) ** 2, axis=0)
-        bad = np.flatnonzero(np.abs(mass - 1.0) > self.tol.norm)
-        if bad.size:
-            detail = ", ".join(f"column {b}: mass {mass[b]:.12g} (deficit {mass[b] - 1.0:+.3e})" for b in bad)
+        mass = (np.abs(g) ** 2).sum(axis=0)
+        bad = np.abs(mass - 1.0) > self.tol.norm
+        if bad.any():
+            cols = np.flatnonzero(bad)
+            detail = ", ".join(f"column {b}: mass {mass[b]:.12g} (deficit {mass[b] - 1.0:+.3e})" for b in cols)
             raise ValidationError(f"gamma columns are not normalized: {detail}")
         g = g.copy()
         g.setflags(write=False)
@@ -190,10 +191,10 @@ def weyl_form_of_joint(psi, g: GammaTable, *, tol: Tolerances = DEFAULT_TOLERANC
     c = dim_constants(d)  # c.rows[l, z] = z + l mod d, c.phases[k, z] = omega**(z*k)
     # sys[l, k] = X_l Z_k psi has omega**(z*k) * psi[z] at system index z + l, read back from z = r - l.
     sys = (c.phases * psi)[z[:, None], c.rows[-z % d][:, None, :]]
-    # env[l, k] has omega**(z*k) * gamma[z + l, z] at environment index (z + l, z).
+    # env[l, k] has omega**(z*k) * gamma[z + l, z] at environment index (z + l, z), flat position c.flat[l, z].
     env = np.zeros((d, d, d * d), dtype=np.complex128)
-    env[z[:, None, None], z[:, None], c.rows[:, None, :] * d + z] = c.phases * g.gamma[c.rows, z][:, None, :]
-    return [WeylFormTerm(l, k, sys[l, k], env[l, k]) for l in range(d) for k in range(d)]
+    env[z[:, None, None], z[:, None], c.flat[:, None, :]] = c.phases * g.gamma.reshape(-1)[c.flat][:, None, :]
+    return [WeylFormTerm(l, k, s, e) for l, sl, el in zip(range(d), sys, env) for k, s, e in zip(range(d), sl, el)]
 
 
 def env_gram(g: GammaTable) -> np.ndarray:

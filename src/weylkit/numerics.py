@@ -76,7 +76,7 @@ def as_vector(a) -> np.ndarray:
 
 
 def _require_finite(a: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValidationError(f"{what} contains non-finite entries")
 
 
@@ -184,11 +184,6 @@ def hermitian_eigenvalues(a, *, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndar
             f"matrix is not Hermitian: ||A - A^dagger||_F = {defect:.3e} "
             f"exceeds {tol.herm:.3e}"
         )
-    return _hermitian_part_eigenvalues(a)
-
-
-def _hermitian_part_eigenvalues(a: np.ndarray) -> np.ndarray:
-    """Ascending spectrum of ``(a + a^dagger) / 2``; ``a`` is already checked."""
     return np.linalg.eigvalsh((a + a.conj().T) / 2.0)
 
 
@@ -228,14 +223,15 @@ def validate_density_matrix(rho, *, tol: Tolerances = DEFAULT_TOLERANCES) -> np.
     _require_finite(rho, "density matrix")
 
     failures = []
-    herm_defect = frobenius_distance(rho, rho.conj().T)
+    rho_h = rho.conj().T
+    herm_defect = float(np.linalg.norm(rho - rho_h))
     if herm_defect > tol.herm:
         failures.append(f"not Hermitian (defect {herm_defect:.3e} > {tol.herm:.3e})")
-    tr = complex(np.trace(rho))
+    tr = complex(rho.trace())
     if abs(tr - 1.0) > tol.norm:
         failures.append(f"trace {tr!r} is not 1 within {tol.norm:.3e}")
     if not failures:
-        lo = float(_hermitian_part_eigenvalues(rho)[0])
+        lo = float(np.linalg.eigvalsh((rho + rho_h) / 2.0)[0])  # the spectrum of the Hermitian part
         if lo < -tol.psd:
             failures.append(f"not positive semidefinite (min eigenvalue {lo:.3e} < -{tol.psd:.3e})")
     if failures:

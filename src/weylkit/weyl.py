@@ -18,9 +18,11 @@ how large the raw exponent grows.
 Every element is monomial: column n of ``X_l Z_k`` holds ``omega**(n*k)`` at
 row ``(n + l) % d`` and nothing else.  The kernels work from that layout and
 per-dimension constants: the d roots ``omega**e``, the phase tables
-``omega**(n*k)`` and ``omega**(-n*k)`` and the wrapped-diagonal index
-``(n + l) % d``, each computed once per process for the most recently used
-dimensions (bounded LRU caches of ``_MEMO_DIMS`` entries) and shared read-only.
+``omega**(n*k)`` and ``omega**(-n*k)``, the wrapped-diagonal index
+``(n + l) % d`` and its flat position ``((n + l) % d) * d + n`` (one fancy
+index reads or writes all wrapped diagonals of a row-major d x d array), each
+computed once per process for the most recently used dimensions (bounded LRU
+caches of ``_MEMO_DIMS`` entries) and shared read-only.
 The d**4 stack of all elements is built only when the basis itself is asked for.
 """
 
@@ -96,6 +98,7 @@ class DimConstants(NamedTuple):
     phases: np.ndarray  # phases[k, n] = omega**(n*k)
     dft: np.ndarray  # dft[k, n] = omega**(-n*k)
     rows: np.ndarray  # rows[l, n] = (n + l) % d, the l-th wrapped diagonal
+    flat: np.ndarray  # flat[l, n] = rows[l, n] * d + n, its position in a flattened d x d array
 
 
 @lru_cache(maxsize=_MEMO_DIMS)
@@ -107,7 +110,8 @@ def dim_constants(d: int) -> DimConstants:
     n = np.arange(d)
     nk = n[:, None] * n % d
     roots = _roots(d)
-    return DimConstants(phases=_frozen(roots[nk]), dft=_frozen(roots[-nk % d]), rows=_frozen((n + n[:, None]) % d))
+    rows = (n + n[:, None]) % d
+    return DimConstants(_frozen(roots[nk]), _frozen(roots[-nk % d]), _frozen(rows), _frozen(rows * d + n))
 
 
 def phase_vector(d: int, exponents) -> np.ndarray:
@@ -116,10 +120,16 @@ def phase_vector(d: int, exponents) -> np.ndarray:
     Reducing the exponent into [0, d) before evaluating bounds the phase
     error independently of how large the raw exponent grows.  The result is a
     fresh array read from the cached roots of unity, whose quarter turns are
-    exact, so e.g. ``omega(2) == -1`` holds exactly.
+    exact, so e.g. ``omega(2) == -1`` holds exactly.  Exponents beyond int64
+    are reduced exactly as Python integers; wraparound that already happened
+    inside a caller's int64 array cannot be detected.
     """
     d = _check_dim(d, minimum=1)
-    return _roots(d)[np.mod(np.asarray(exponents, dtype=np.int64), d)]
+    try:
+        e = np.asarray(exponents, dtype=np.int64)
+    except OverflowError:
+        e = np.asarray(np.asarray(exponents, dtype=object) % d, dtype=np.int64)
+    return _roots(d)[np.mod(e, d)]
 
 
 def shift_matrix(d: int, l: int) -> np.ndarray:
@@ -188,7 +198,7 @@ def _weyl_stack(d: int, l: np.ndarray, k: np.ndarray, c=None) -> np.ndarray:
     t = dim_constants(d)
     values = t.phases[k] if c is None else c[:, None] * t.phases[k]
     out = np.zeros((len(l), d, d), dtype=np.complex128)
-    out[np.arange(len(l))[:, None], t.rows[l], np.arange(d)] = values
+    out.reshape(len(l), d * d)[np.arange(len(l))[:, None], t.flat[l]] = values
     return out
 
 
@@ -212,7 +222,7 @@ def decompose(a) -> np.ndarray:
     d = _check_dim(a.shape[0])
     c = dim_constants(d)
     # diag[l, n] = a[(n + l) % d, n]: the l-th wrapped diagonal.
-    diags = a[c.rows, np.arange(d)]
+    diags = a.reshape(-1)[c.flat]
     return diags @ c.dft.T / d
 
 
@@ -225,12 +235,9 @@ def reconstruct(xi) -> np.ndarray:
     c = dim_constants(d)
     # X_l Z_k is nonzero only on the l-th wrapped diagonal, so entry
     # (n + l, n) of the sum collects xi[l, k] * omega**(n*k) over k alone;
-    # accumulating k in order keeps the summation order of the term-by-term sum.
-    diags = np.zeros((d, d), dtype=np.complex128)  # diags[l, n]
-    for k in range(d):
-        diags += xi[:, k, None] * c.phases[k]
+    # the reduction adds k in order from zero, the order of the term-by-term sum.
     out = np.empty((d, d), dtype=np.complex128)
-    out[c.rows, np.arange(d)] = diags
+    out.reshape(-1)[c.flat] = (xi[:, :, None] * c.phases).sum(axis=1)  # diags[l, n]
     return out
 
 
