@@ -106,13 +106,24 @@ class QuantumChannel:
         if not len(ops):
             raise DomainError("a channel needs at least one Kraus operator")
         stack = np.asarray(ops[:n], dtype=np.complex128)  # copies a list only; the array above is fresh
-        if not np.isfinite(stack).all():
-            raise ValidationError("Kraus operator contains non-finite entries")
+        self._own(d, stack)  # non-finite entries are reported before a wrong shape further on
         if n < len(ops):
             raise ShapeError(f"Kraus operators must be {d} x {d}, got {ops[n].shape}")
+
+    @classmethod
+    def _fresh(cls, d: int, stack: np.ndarray) -> "QuantumChannel":
+        """A Kraus channel that takes over the fresh (m, d, d) complex128 ``stack`` (m >= 1) without copying it."""
+        ch = cls.__new__(cls)
+        ch._own(d, stack)
+        return ch
+
+    def _own(self, d: int, stack: np.ndarray) -> None:
+        """Hold ``stack`` as the read-only Kraus stack, rejecting non-finite entries."""
+        if not np.isfinite(stack).all():
+            raise ValidationError("Kraus operator contains non-finite entries")
         stack.setflags(write=False)
         object.__setattr__(self, "stack", stack)
-        self._hold(d, n, None, None)
+        self._hold(d, len(stack), None, None)
 
     @classmethod
     def _classical(cls, d: int, count: int, transition: np.ndarray, build) -> "QuantumChannel":
@@ -228,7 +239,9 @@ def is_trace_preserving(ch: QuantumChannel, *, tol: Tolerances = DEFAULT_TOLERAN
 
 
 def unitality_deficit(ch: QuantumChannel) -> float:
-    """``||sum_m E_m E_m^dagger - I||_F``; zero iff the channel fixes I/d."""
+    """``||sum_m E_m E_m^dagger - I||_F``; zero iff the channel fixes I/d.  For a dilation channel, diag(T.sum(1))."""
+    if ch.transition is not None:
+        return float(np.linalg.norm(ch.transition.sum(axis=1) - 1.0))
     acc = (ch.stack @ _dagger(ch.stack)).sum(axis=0)
     return frobenius_distance(acc, np.eye(ch.d))
 
@@ -250,18 +263,18 @@ def weyl_channel(weights, *, tol: Tolerances = DEFAULT_TOLERANCES) -> QuantumCha
     p = p.astype(np.float64)
     if p.ndim != 2 or p.shape[0] != p.shape[1] or p.shape[0] < 2:
         raise ShapeError(f"weights must be a square (d, d) table with d >= 2, got {p.shape}")
-    if not np.isfinite(p).all():
-        raise DomainError("weights must be finite")
-    if (p < 0).any():
-        raise DomainError(f"weights must be nonnegative, got minimum {p.min()!r}")
-    total = float(p.sum())
-    if abs(total - 1.0) > tol.norm:
+    total = float(p.sum()) if (p >= 0).all() else np.nan  # summed only when every weight is a number >= 0
+    if not abs(total - 1.0) <= tol.norm:  # valid weights pass this one test; the checks below report in order
+        if not np.isfinite(p).all():
+            raise DomainError("weights must be finite")
+        if (p < 0).any():
+            raise DomainError(f"weights must be nonnegative, got minimum {p.min()!r}")
         raise DomainError(f"weights must sum to 1 within {tol.norm}, got {total!r}")
     d = p.shape[0]
     keep = np.sqrt(p * d) >= tol.prune
     if not keep.any():
         raise DomainError("all weights prune to zero")
-    return QuantumChannel(d=d, kraus=_weyl_stack(d, *np.nonzero(keep), np.sqrt(p[keep])))
+    return QuantumChannel._fresh(d, _weyl_stack(d, *np.nonzero(keep), np.sqrt(p[keep])))
 
 
 def channel_from_dilation(g: GammaTable, *, tol: Tolerances = DEFAULT_TOLERANCES) -> QuantumChannel:
@@ -281,9 +294,9 @@ def channel_from_dilation(g: GammaTable, *, tol: Tolerances = DEFAULT_TOLERANCES
     d = g.d
     mass = (g.gamma.conj() * g.gamma).real  # the squared norm of slot (a, b), as the Kraus slicing computes it
     keep = np.sqrt(mass) >= tol.prune
-    flat = dim_constants(d).flat  # T[l - z, -z] = mass[z + l, z]: T at flat[l, n] reads mass at flat[l, -n]
+    c = dim_constants(d)  # T[l - z, -z] = mass[z + l, z]: T at flat[l, n] reads mass at flat[l, -n]
     t = np.empty((d, d))
-    t.reshape(-1)[flat] = (mass * keep).reshape(-1)[flat[:, -np.arange(d) % d]]
+    t.reshape(-1)[c.flat] = (mass * keep).reshape(-1)[c.flat_neg]
 
     def kraus():
         return _kraus_from_slots(make_isometry(g), tol)

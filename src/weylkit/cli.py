@@ -41,7 +41,7 @@ from .channels import (
     weyl_channel,
 )
 from .config import DEFAULT_TOLERANCES, replace_tolerance
-from .dilation import evolve_density, evolve_pure, json_to_gamma, weyl_form_of_joint
+from .dilation import _weyl_form_arrays, evolve_density, evolve_pure, json_to_gamma
 from .errors import DomainError, ParseError, ShapeError, ValidationError
 from .numerics import (
     format_float,
@@ -216,9 +216,9 @@ def _cmd_dilate(args) -> int:
         _emit(args, joint[:, None])
         summary.append(("joint_norm", format_float(float(np.linalg.norm(joint)))))
         if args.weyl_norms:
-            terms = weyl_form_of_joint(psi, g, tol=args.tol)
-            norms = json_object((f"{t.l},{t.k}", format_float(float(np.linalg.norm(t.env)))) for t in terms)
-            summary.append(("env_term_norms", norms))
+            env = _weyl_form_arrays(psi, g)[1]  # row l*d + k is v_lk; evolve_pure validated psi
+            norms = ((f"{i // g.d},{i % g.d}", format_float(float(np.linalg.norm(v)))) for i, v in enumerate(env))
+            summary.append(("env_term_norms", json_object(norms)))
     _summary(summary)
     return EXIT_OK
 

@@ -26,6 +26,9 @@ where the unnormalized environment vectors ``v_{lk}`` have components
 ``omega**(z*k) * gamma[z + l, z]`` at environment index ``(z + l, z)``.
 This module exposes both routes so the regrouping can be checked
 numerically, plus the mixed-state evolution ``rho -> V rho V^dagger``.
+The Weyl form comes from one kernel: ``sys[l*d + k] = W_{lk}|psi>`` and
+``env[l*d + k] = v_{lk}``, built by one gather and one scatter through
+d**3-entry index tables kept for the last ``_MEMO_DIMS`` (eight) values of d.
 
 Tracing the environment out of that evolution leaves a classical channel:
 ``V|i>`` puts ``|i + l>`` with amplitude ``gamma[l - i, -i]`` next to
@@ -37,6 +40,7 @@ orthogonal environment states, so the output is diagonal,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -51,7 +55,7 @@ from .numerics import (
     validate_density_matrix,
     validate_ket,
 )
-from .weyl import dim_constants
+from .weyl import _MEMO_DIMS, _frozen, dim_constants
 
 __all__ = [
     "GammaTable",
@@ -181,20 +185,33 @@ class WeylFormTerm(NamedTuple):
     env: np.ndarray
 
 
+@lru_cache(maxsize=_MEMO_DIMS)
+def _weyl_form_index(d: int) -> tuple:
+    """Read-only flat index tables of the Weyl-form kernel, and the labels ``l``, ``k`` of its rows as ints."""
+    l, k, z = np.indices((d, d, d))
+    gather = (k * d + (z - l) % d).reshape(d * d, d)  # sys[l*d + k, r] is (phases * psi)[k, r - l]
+    scatter = (l * d + k) * d * d + dim_constants(d).flat[l, z]  # env[l*d + k] at gamma's flat position [l, z]
+    return _frozen(gather), _frozen(scatter), tuple(l[..., 0].ravel().tolist()), tuple(k[..., 0].ravel().tolist())
+
+
+def _weyl_form_arrays(psi: np.ndarray, g: GammaTable) -> tuple[np.ndarray, np.ndarray]:
+    """The (d**2, d) ``sys`` and (d**2, d**2) ``env`` arrays of ``V |psi>`` for a validated ket, rows l-major."""
+    d = g.d
+    c = dim_constants(d)  # c.phases[k, z] = omega**(z*k)
+    gather, scatter, _, _ = _weyl_form_index(d)
+    sys = (c.phases * psi).reshape(-1)[gather]
+    env = np.zeros((d * d, d * d), dtype=np.complex128)
+    env.reshape(-1)[scatter] = c.phases * g.gamma.reshape(-1)[c.flat][:, None, :]
+    return sys, env
+
+
 def weyl_form_of_joint(psi, g: GammaTable, *, tol: Tolerances = DEFAULT_TOLERANCES) -> list[WeylFormTerm]:
     """All d**2 Weyl-form terms of ``V |psi>``, in l-major order."""
     psi = validate_ket(psi, tol=tol)
-    d = g.d
-    if psi.shape[0] != d:
-        raise ShapeError(f"state dimension {psi.shape[0]} does not match gamma dimension {d}")
-    z = np.arange(d)
-    c = dim_constants(d)  # c.rows[l, z] = z + l mod d, c.phases[k, z] = omega**(z*k)
-    # sys[l, k] = X_l Z_k psi has omega**(z*k) * psi[z] at system index z + l, read back from z = r - l.
-    sys = (c.phases * psi)[z[:, None], c.rows[-z % d][:, None, :]]
-    # env[l, k] has omega**(z*k) * gamma[z + l, z] at environment index (z + l, z), flat position c.flat[l, z].
-    env = np.zeros((d, d, d * d), dtype=np.complex128)
-    env[z[:, None, None], z[:, None], c.flat[:, None, :]] = c.phases * g.gamma.reshape(-1)[c.flat][:, None, :]
-    return [WeylFormTerm(l, k, s, e) for l, sl, el in zip(range(d), sys, env) for k, s, e in zip(range(d), sl, el)]
+    if psi.shape[0] != g.d:
+        raise ShapeError(f"state dimension {psi.shape[0]} does not match gamma dimension {g.d}")
+    _, _, ls, ks = _weyl_form_index(g.d)
+    return list(map(WeylFormTerm._make, zip(ls, ks, *_weyl_form_arrays(psi, g))))
 
 
 def env_gram(g: GammaTable) -> np.ndarray:
@@ -242,6 +259,8 @@ def ensemble_to_density(weights, states, *, tol: Tolerances = DEFAULT_TOLERANCES
     p = np.asarray(weights, dtype=np.float64)
     if p.ndim != 1 or p.size == 0:
         raise DomainError(f"weights must be a nonempty 1-d sequence, got shape {p.shape}")
+    if not np.isfinite(p).all():
+        raise DomainError("weights must be finite")
     if np.any(p < 0):
         raise DomainError(f"weights must be nonnegative, got {p.tolist()}")
     total = float(p.sum())

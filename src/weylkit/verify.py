@@ -14,13 +14,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channels import QuantumChannel, apply_channel, channel_from_dilation, is_trace_preserving, weyl_channel
-from .dilation import evolve_density, make_isometry, weyl_form_of_joint
+from .dilation import _weyl_form_arrays, evolve_density, make_isometry
 from .errors import DomainError
 from .numerics import (
     basis_ket,
     frobenius_distance,
     json_to_matrix,
-    kron,
     matrix_to_json,
     partial_trace_env,
 )
@@ -250,8 +249,8 @@ def _checks_for_dim(d, rng, draws, inject_fault):
             g = random_gamma(d, rng)
             psi = random_ket(d, rng)
             direct = make_isometry(g) @ psi
-            terms = weyl_form_of_joint(psi, g)
-            reassembled = sum(kron(t.sys, t.env) for t in terms) / d
+            sys, env = _weyl_form_arrays(psi, g)
+            reassembled = (sys.T @ env).ravel() / d  # (1/d) sum over (l, k) of kron(sys, env)
             worst = max(worst, float(np.linalg.norm(reassembled - direct)))
         return worst
 

@@ -20,9 +20,9 @@ row ``(n + l) % d`` and nothing else.  The kernels work from that layout and
 per-dimension constants: the d roots ``omega**e``, the phase tables
 ``omega**(n*k)`` and ``omega**(-n*k)``, the wrapped-diagonal index
 ``(n + l) % d`` and its flat position ``((n + l) % d) * d + n`` (one fancy
-index reads or writes all wrapped diagonals of a row-major d x d array), each
-computed once per process for the most recently used dimensions (bounded LRU
-caches of ``_MEMO_DIMS`` entries) and shared read-only.
+index reads or writes all wrapped diagonals of a row-major d x d array), also
+with its columns negated, each computed once per process for the last
+``_MEMO_DIMS`` dimensions used (bounded LRU caches) and shared read-only.
 The d**4 stack of all elements is built only when the basis itself is asked for.
 """
 
@@ -99,6 +99,7 @@ class DimConstants(NamedTuple):
     dft: np.ndarray  # dft[k, n] = omega**(-n*k)
     rows: np.ndarray  # rows[l, n] = (n + l) % d, the l-th wrapped diagonal
     flat: np.ndarray  # flat[l, n] = rows[l, n] * d + n, its position in a flattened d x d array
+    flat_neg: np.ndarray  # flat_neg[l, n] = flat[l, -n % d]
 
 
 @lru_cache(maxsize=_MEMO_DIMS)
@@ -111,7 +112,8 @@ def dim_constants(d: int) -> DimConstants:
     nk = n[:, None] * n % d
     roots = _roots(d)
     rows = (n + n[:, None]) % d
-    return DimConstants(_frozen(roots[nk]), _frozen(roots[-nk % d]), _frozen(rows), _frozen(rows * d + n))
+    flat = rows * d + n
+    return DimConstants(*map(_frozen, (roots[nk], roots[-nk % d], rows, flat, flat[:, -n % d])))
 
 
 def phase_vector(d: int, exponents) -> np.ndarray:

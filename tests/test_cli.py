@@ -409,6 +409,8 @@ class TestDensityInputs:
 
     def test_eigvalsh_runs_once_per_state(self, tmp_path, monkeypatch):
         # channel validates its input and its output; dilate --density its input.
+        # A diagonal state is checked without eigvalsh: the dilation channel's
+        # output always is one, a Weyl channel's output of a dense state is not.
         eigvalsh = np.linalg.eigvalsh
         calls = []
 
@@ -417,11 +419,14 @@ class TestDensityInputs:
             return eigvalsh(a)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-        expected = {"channel": 2, "dilate": 1}
-        for argv in density_commands(tmp_path, matrix_to_json(random_density(2, RNG))):
+        rho_text = matrix_to_json(random_density(2, RNG))
+        weights = write(tmp_path / "w.json", matrix_to_json(np.array([[0.4, 0.3], [0.2, 0.1]])))
+        commands = density_commands(tmp_path, rho_text)
+        commands.append(("channel", "--weights", weights, "--rho", commands[0][-1]))
+        for argv, expected in zip(commands, (1, 1, 2)):
             calls.clear()
             assert run_quiet(*argv) == 0
-            assert len(calls) == expected[argv[0]], argv[0]
+            assert len(calls) == expected, argv[:2]
 
     @settings(max_examples=60, deadline=None, database=None)
     @given(text=MATRIX_DOCS | DENSITY_DOCS | st.text(st.characters(codec="utf-8"), max_size=30))
