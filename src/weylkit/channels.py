@@ -263,12 +263,13 @@ def weyl_channel(weights, *, tol: Tolerances = DEFAULT_TOLERANCES) -> QuantumCha
     p = p.astype(np.float64)
     if p.ndim != 2 or p.shape[0] != p.shape[1] or p.shape[0] < 2:
         raise ShapeError(f"weights must be a square (d, d) table with d >= 2, got {p.shape}")
-    total = float(p.sum()) if (p >= 0).all() else np.nan  # summed only when every weight is a number >= 0
+    with np.errstate(over="ignore"):  # an overflowing sum is inf, which the sum check reports
+        total = float(p.sum()) if (p >= 0).all() else np.nan  # summed only when every weight is a number >= 0
     if not abs(total - 1.0) <= tol.norm:  # valid weights pass this one test; the checks below report in order
         if not np.isfinite(p).all():
             raise DomainError("weights must be finite")
         if (p < 0).any():
-            raise DomainError(f"weights must be nonnegative, got minimum {p.min()!r}")
+            raise DomainError(f"weights must be nonnegative, got minimum {float(p.min())!r}")
         raise DomainError(f"weights must sum to 1 within {tol.norm}, got {total!r}")
     d = p.shape[0]
     keep = np.sqrt(p * d) >= tol.prune

@@ -27,21 +27,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .channels import (
-    QuantumChannel,
-    apply_channel,
-    channel_from_dilation,
-    choi_matrix,
-    choi_to_json,
-    is_trace_preserving,
-    json_to_channel,
-    weyl_channel,
-)
-from .config import DEFAULT_TOLERANCES, replace_tolerance
-from .dilation import _weyl_form_arrays, evolve_density, evolve_pure, json_to_gamma
+from .config import D_MAX, D_MIN, DEFAULT_SEED, DEFAULT_TOLERANCES, replace_tolerance
 from .errors import DomainError, ParseError, ShapeError, ValidationError
 from .numerics import (
     format_float,
@@ -51,15 +41,9 @@ from .numerics import (
     json_to_vector,
     matrix_to_json,
 )
-from .verify import D_MAX, D_MIN, DEFAULT_SEED, run_verification
-from .weyl import (
-    coefficients_to_json,
-    decompose,
-    json_to_coefficients,
-    reconstruct,
-    weyl_basis,
-    weyl_element,
-)
+
+if TYPE_CHECKING:
+    from .channels import QuantumChannel
 
 __all__ = ["main", "run"]
 
@@ -151,9 +135,13 @@ def _tolerances(overrides: list[str] | None):
 
 # ---------------------------------------------------------------------------
 # subcommand handlers
+#
+# Each handler imports the layers it uses, so a command compiles only those.
 
 
 def _cmd_basis(args) -> int:
+    from .weyl import weyl_basis, weyl_element
+
     d = _check_d(args.d)
     if (args.l is None) != (args.k is None):
         raise _Usage("--l and --k must be given together")
@@ -171,6 +159,8 @@ def _cmd_basis(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
+    from .weyl import coefficients_to_json, decompose, reconstruct
+
     a = json_to_matrix(_read_text(args.input), "input matrix")
     if a.shape[0] != a.shape[1]:
         raise _Usage(f"input matrix must be square, got {a.shape[0]} x {a.shape[1]}")
@@ -188,6 +178,8 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
+    from .weyl import json_to_coefficients, reconstruct
+
     xi = json_to_coefficients(_read_text(args.input), "coefficient table")
     _check_d(xi.shape[0])
     _emit(args, reconstruct(xi))
@@ -195,6 +187,8 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_dilate(args) -> int:
+    from .dilation import _weyl_form_arrays, evolve_density, evolve_pure, json_to_gamma
+
     g = json_to_gamma(_read_text(args.gamma), tol=args.tol)
     _check_d(g.d)
     summary: list[tuple[str, str]] = [("d", str(g.d))]
@@ -224,6 +218,9 @@ def _cmd_dilate(args) -> int:
 
 
 def _load_channel_source(args) -> QuantumChannel:
+    from .channels import channel_from_dilation, json_to_channel, weyl_channel
+    from .dilation import json_to_gamma
+
     sources = [name for name in ("gamma", "weights", "channel") if getattr(args, name, None)]
     if len(sources) != 1:
         raise _Usage("provide exactly one channel source (--gamma, --weights or --channel)")
@@ -246,6 +243,8 @@ def _load_channel_source(args) -> QuantumChannel:
 
 
 def _cmd_channel(args) -> int:
+    from .channels import apply_channel, is_trace_preserving
+
     ch = _load_channel_source(args)
     ok, deficit = is_trace_preserving(ch, tol=args.tol)
     if not ok:
@@ -266,6 +265,8 @@ def _cmd_channel(args) -> int:
 
 
 def _cmd_choi(args) -> int:
+    from .channels import choi_matrix, choi_to_json, is_trace_preserving
+
     ch = _load_channel_source(args)
     j = choi_matrix(ch)
     _emit(args, j, choi_to_json)
@@ -281,6 +282,8 @@ def _cmd_choi(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_verification
+
     dims = []
     for part in args.d.split(","):
         part = part.strip()

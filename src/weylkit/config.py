@@ -1,4 +1,4 @@
-"""Numerical tolerances used across the package.
+"""Numerical tolerances and package-wide constants.
 
 All exact identities of the underlying algebra hold only up to floating-point
 drift; these knobs bound that drift.  Pass a modified :class:`Tolerances` to
@@ -14,7 +14,10 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 
-__all__ = ["Tolerances", "DEFAULT_TOLERANCES", "replace_tolerance", "TOLERANCE_NAMES"]
+__all__ = ["Tolerances", "DEFAULT_TOLERANCES", "replace_tolerance", "TOLERANCE_NAMES", "D_MIN", "D_MAX", "DEFAULT_SEED"]
+
+D_MIN, D_MAX = 2, 32  # the advertised range of d; the CLI and verify check their arguments against it
+DEFAULT_SEED = 20240528  # the verify suite's seed unless one is given
 
 
 @dataclass(frozen=True)

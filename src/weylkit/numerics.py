@@ -10,6 +10,12 @@ format is written and read with (``json_object``, ``json_to_table``).
 A diagonal density matrix is checked through its diagonal: the finite scan
 reads it, and ``diag.real.min()`` is its smallest eigenvalue, bit for bit.
 
+Most arrays the package writes are mostly exact zeros (a Weyl element has d
+nonzeros out of d**2), so the pair writer formats only the nonzero pairs and
+writes every zero pair as ``[0, 0]``.  The pair reader converts a list of
+plain number pairs in one numpy call; anything else goes through a
+per-entry loop, which names the first bad entry.
+
 Conventions fixed here and used everywhere:
 
 * row-major storage, explicit ``[row, col]`` indexing;
@@ -26,6 +32,7 @@ All functions are pure; none mutates its arguments.
 from __future__ import annotations
 
 import cmath
+import itertools
 import json
 import math
 
@@ -269,11 +276,21 @@ def format_float(x: float) -> str:
 
 
 def format_complex_pairs(values: np.ndarray) -> str:
-    """Render a flat complex array as a JSON list of ``[re, im]`` pairs."""
-    pairs = ", ".join(
-        f"[{format_float(z.real)}, {format_float(z.imag)}]" for z in np.ravel(values)
-    )
-    return f"[{pairs}]"
+    """Render a flat complex array as a JSON list of ``[re, im]`` pairs.
+
+    Every component is checked first; the first non-finite one, in ``re, im``
+    order, raises.  Zero pairs are written as ``[0, 0]`` without formatting.
+    """
+    z = np.asarray(values, dtype=np.complex128).ravel()  # contiguous, so it has a float64 view
+    parts = z.view(np.float64)
+    bad = ~np.isfinite(parts)
+    if bad.any():
+        format_float(parts[bad.argmax()])  # raises ValidationError
+    cells = ["[0, 0]"] * z.size
+    nz = np.flatnonzero(z)
+    for i, re, im in zip(nz.tolist(), z.real[nz].tolist(), z.imag[nz].tolist()):
+        cells[i] = f"[{re + 0.0:.17g}, {im + 0.0:.17g}]"  # + 0.0 turns -0.0 into 0, as format_float does
+    return "[" + ", ".join(cells) + "]"
 
 
 def json_object(fields) -> str:
@@ -312,10 +329,23 @@ def parse_json_document(text: str, what: str) -> dict:
 
 
 def parse_complex_pairs(raw, count: int, what: str) -> np.ndarray:
-    """Decode a list of ``[re, im]`` pairs into a flat complex array."""
+    """Decode a list of ``[re, im]`` pairs into a flat complex array.
+
+    A list of finite ``int``/``float`` pairs is converted in one call; any
+    other input goes through the per-entry loop, which names the first bad entry.
+    """
     if not isinstance(raw, list) or len(raw) != count:
         got = len(raw) if isinstance(raw, list) else type(raw).__name__
         raise ParseError(f"{what}: expected {count} [re, im] pairs, got {got}")
+    try:
+        flat = list(itertools.chain.from_iterable(raw))  # TypeError if an entry is not iterable
+        # numpy would read true and "1" as 1.0, so only exact int and float values qualify
+        if set(map(len, raw)) == {2} and set(map(type, flat)) <= {int, float}:
+            parts = np.array(flat, dtype=np.float64)  # OverflowError for an int past the float range
+            if np.isfinite(parts).all():
+                return parts.view(np.complex128)
+    except (TypeError, ValueError, OverflowError):  # the loop below reports the first bad entry
+        pass
     out = np.empty(count, dtype=np.complex128)
     for idx, pair in enumerate(raw):
         if (

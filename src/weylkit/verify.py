@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channels import QuantumChannel, apply_channel, channel_from_dilation, is_trace_preserving, weyl_channel
+from .config import D_MAX, D_MIN, DEFAULT_SEED
 from .dilation import _weyl_form_arrays, evolve_density, make_isometry
 from .errors import DomainError
 from .numerics import (
@@ -27,9 +28,6 @@ from .rand import random_complex_matrix, random_density, random_gamma, random_ke
 from .weyl import decompose, dim_constants, gram_matrix, reconstruct, weyl_basis
 
 __all__ = ["CheckResult", "VerifyReport", "run_verification", "DEFAULT_SEED"]
-
-DEFAULT_SEED = 20240528
-D_MIN, D_MAX = 2, 32  # the advertised range of d; the CLI checks its arguments against it
 
 
 @dataclass(frozen=True)

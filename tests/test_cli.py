@@ -280,6 +280,19 @@ class TestChoiCommand:
         expected[0, 0] = expected[0, 3] = expected[3, 0] = expected[3, 3] = 1.0
         np.testing.assert_allclose(json_to_matrix(res.stdout), expected, atol=1e-14)
 
+    @pytest.mark.parametrize(
+        "table, line",
+        [
+            (np.full((5, 5), 1e308), "error: weights must sum to 1 within 1e-10, got inf"),
+            (np.array([[0.35, -0.05], [0.35, 0.35]]), "error: weights must be nonnegative, got minimum -0.05"),
+        ],
+    )
+    def test_bad_weights_give_one_error_line(self, tmp_path, table, line):
+        """No numpy warning or scalar repr reaches stderr: an overflowing sum and a negative weight."""
+        res = run_cli("choi", "--weights", write(tmp_path / "w.json", matrix_to_json(table)))
+        assert res.returncode == 3
+        assert res.stderr.splitlines() == [line]
+
 
 class TestVerifyCommand:
     def test_verify_passes(self):

@@ -174,7 +174,7 @@ def ref_weyl_weight_checks(p, tol=DEFAULT_TOLERANCES):
     if not np.isfinite(p).all():
         raise DomainError("weights must be finite")
     if (p < 0).any():
-        raise DomainError(f"weights must be nonnegative, got minimum {p.min()!r}")
+        raise DomainError(f"weights must be nonnegative, got minimum {float(p.min())!r}")
     total = float(p.sum())
     if abs(total - 1.0) > tol.norm:
         raise DomainError(f"weights must sum to 1 within {tol.norm}, got {total!r}")
