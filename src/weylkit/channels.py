@@ -29,7 +29,10 @@ stays the reference, and the tests compare the closed form with it.
 
 from __future__ import annotations
 
+import weakref
+from contextlib import suppress
 from functools import cached_property
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -38,12 +41,14 @@ from .config import DEFAULT_TOLERANCES, Tolerances
 from .dilation import GammaTable, make_isometry
 from .errors import DomainError, ParseError, ShapeError, ValidationError
 from .numerics import (
+    _check_density,
     as_matrix,
     frobenius_distance,
     json_object,
     matrix_fields,
     matrix_from_object,
     matrix_to_json,
+    parse_complex_pairs,
     parse_json_document,
     require_int_field,
     validate_density_matrix,
@@ -111,15 +116,15 @@ class QuantumChannel:
             raise ShapeError(f"Kraus operators must be {d} x {d}, got {ops[n].shape}")
 
     @classmethod
-    def _fresh(cls, d: int, stack: np.ndarray) -> "QuantumChannel":
+    def _fresh(cls, d: int, stack: np.ndarray, finite: bool = False) -> "QuantumChannel":
         """A Kraus channel that takes over the fresh (m, d, d) complex128 ``stack`` (m >= 1) without copying it."""
         ch = cls.__new__(cls)
-        ch._own(d, stack)
+        ch._own(d, stack, finite)
         return ch
 
-    def _own(self, d: int, stack: np.ndarray) -> None:
-        """Hold ``stack`` as the read-only Kraus stack, rejecting non-finite entries."""
-        if not np.isfinite(stack).all():
+    def _own(self, d: int, stack: np.ndarray, finite: bool = False) -> None:
+        """Hold ``stack`` as the read-only Kraus stack, rejecting non-finite entries unless it is known ``finite``."""
+        if not finite and not np.logical_and.reduce(np.isfinite(stack), axis=None):
             raise ValidationError("Kraus operator contains non-finite entries")
         stack.setflags(write=False)
         object.__setattr__(self, "stack", stack)
@@ -135,8 +140,7 @@ class QuantumChannel:
 
     def _hold(self, d: int, count: int, transition, build) -> None:
         """Set the fields once; the channel cannot be changed afterwards."""
-        for name, value in (("d", d), ("_count", count), ("transition", transition), ("_build", build)):
-            object.__setattr__(self, name, value)
+        vars(self).update(d=d, _count=count, transition=transition, _build=build)  # past __setattr__
 
     def __setattr__(self, name, value):
         raise AttributeError("QuantumChannel is immutable")
@@ -197,6 +201,12 @@ def _dagger(stack: np.ndarray) -> np.ndarray:
     return stack.conj().transpose(0, 2, 1)
 
 
+# apply_channel's last result (weak reference, shape, dtype, bytes, tolerances), kept for states of
+# at most _RECORD_BYTES: passed back unmodified with the same tolerances, it is not checked again.
+_last_output = (lambda: None, None, None, b"", None)
+_RECORD_BYTES = 16 * 32 * 32
+
+
 def apply_channel(ch: QuantumChannel, rho, *, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     """Evolve a density matrix: ``sum_m E_m rho E_m^dagger``.
 
@@ -205,21 +215,36 @@ def apply_channel(ch: QuantumChannel, rho, *, tol: Tolerances = DEFAULT_TOLERANC
     results are deterministic.
     The output is validated as a density matrix; a failure there means a
     non-trace-preserving or non-positive operator list slipped past
-    construction and is reported as such.
+    construction and is reported as such.  The input is validated too, unless
+    it is the unmodified array this function last returned, checked with the
+    same ``tol`` object.
     """
-    rho = validate_density_matrix(rho, tol=tol)
+    global _last_output
+    ref, shape, dtype, data, last_tol = _last_output
+    same = ref() is rho is not None and rho.shape == shape and rho.dtype == dtype  # a dead reference gives None
+    if not (same and tol is last_tol and rho.tobytes() == data):
+        rho = validate_density_matrix(rho, tol=tol)
     d = ch.d
     if rho.shape[0] != d:
         raise ShapeError(f"state dimension {rho.shape[0]} does not match channel dimension {d}")
+    diag = None
     if ch.transition is not None:
-        out = np.diag(ch.transition @ np.diagonal(rho))
+        diag = ch.transition @ rho.diagonal()
+        out = np.zeros((d, d), dtype=np.complex128)
+        out.reshape(-1)[:: d + 1] = diag
     else:
         k = ch.stack  # K rho as one (m d, d) x (d, d) product
-        out = ((k.reshape(-1, d) @ rho).reshape(k.shape) @ _dagger(k)).sum(axis=0)
+        out = np.add.reduce((k.reshape(-1, d) @ rho).reshape(k.shape) @ _dagger(k), axis=0)
     try:
-        return validate_density_matrix(out, tol=tol)
+        if diag is None:
+            validate_density_matrix(out, tol=tol)
+        else:
+            _check_density(out, diag, tol)
     except ValidationError as exc:
         raise ValidationError(f"channel output is not a valid state ({exc}); the Kraus list is not CPTP") from None
+    if out.nbytes <= _RECORD_BYTES:
+        _last_output = (weakref.ref(out), out.shape, out.dtype, out.tobytes(), tol)
+    return out
 
 
 def is_trace_preserving(ch: QuantumChannel, *, tol: Tolerances = DEFAULT_TOLERANCES) -> tuple[bool, float]:
@@ -256,15 +281,19 @@ def weyl_channel(weights, *, tol: Tolerances = DEFAULT_TOLERANCES) -> QuantumCha
     depolarizing channel ``rho -> I/d``.
     """
     p = np.asarray(weights)
-    if np.iscomplexobj(p):
+    if p.dtype.kind == "c":
         if not np.max(np.abs(p.imag)) <= tol.norm:
             raise DomainError("weights must be real")
         p = p.real
     p = p.astype(np.float64)
     if p.ndim != 2 or p.shape[0] != p.shape[1] or p.shape[0] < 2:
         raise ShapeError(f"weights must be a square (d, d) table with d >= 2, got {p.shape}")
-    with np.errstate(over="ignore"):  # an overflowing sum is inf, which the sum check reports
-        total = float(p.sum()) if (p >= 0).all() else np.nan  # summed only when every weight is a number >= 0
+    lo = np.minimum.reduce(p, axis=None)  # NaN if a weight is NaN
+    if lo >= 0 and np.maximum.reduce(p, axis=None) <= 1:  # the sum of weights in [0, 1] cannot overflow
+        total = float(np.add.reduce(p, axis=None))
+    else:
+        with np.errstate(over="ignore"):  # an overflowing sum is inf, which the sum check reports
+            total = float(np.add.reduce(p, axis=None)) if lo >= 0 else np.nan  # summed only when every weight is >= 0
     if not abs(total - 1.0) <= tol.norm:  # valid weights pass this one test; the checks below report in order
         if not np.isfinite(p).all():
             raise DomainError("weights must be finite")
@@ -273,9 +302,9 @@ def weyl_channel(weights, *, tol: Tolerances = DEFAULT_TOLERANCES) -> QuantumCha
         raise DomainError(f"weights must sum to 1 within {tol.norm}, got {total!r}")
     d = p.shape[0]
     keep = np.sqrt(p * d) >= tol.prune
-    if not keep.any():
+    if not np.logical_or.reduce(keep, axis=None):
         raise DomainError("all weights prune to zero")
-    return QuantumChannel._fresh(d, _weyl_stack(d, *np.nonzero(keep), np.sqrt(p[keep])))
+    return QuantumChannel._fresh(d, _weyl_stack(d, *keep.nonzero(), np.sqrt(p[keep])), finite=True)
 
 
 def channel_from_dilation(g: GammaTable, *, tol: Tolerances = DEFAULT_TOLERANCES) -> QuantumChannel:
@@ -302,7 +331,7 @@ def channel_from_dilation(g: GammaTable, *, tol: Tolerances = DEFAULT_TOLERANCES
     def kraus():
         return _kraus_from_slots(make_isometry(g), tol)
 
-    return QuantumChannel._classical(d, int(keep.sum()), t, kraus)
+    return QuantumChannel._classical(d, np.count_nonzero(keep), t, kraus)
 
 
 def choi_matrix(ch: QuantumChannel) -> np.ndarray:
@@ -351,9 +380,19 @@ def json_to_channel(text: str, what: str = "channel") -> QuantumChannel:
     raw = doc.get("kraus")
     if not isinstance(raw, list) or not raw:
         raise ParseError(f"{what}: field 'kraus' must be a nonempty list of matrices")
-    ops = [matrix_from_object(item, f"{what}: kraus[{idx}]") for idx, item in enumerate(raw)]
+    ops = None
+    if all(
+        type(x) is dict and type(x.get("rows")) is type(x.get("cols")) is int and x["rows"] == x["cols"] == d
+        and type(x.get("entries")) is list and len(x["entries"]) == d * d
+        for x in raw
+    ):  # well-formed d x d documents: every entry is decoded in one call, and the loop below names a bad one
+        with suppress(ParseError):
+            flat = list(chain.from_iterable(x["entries"] for x in raw))
+            ops = parse_complex_pairs(flat, len(flat), what).reshape(-1, d, d)
+    if ops is None:
+        ops = tuple(matrix_from_object(item, f"{what}: kraus[{idx}]") for idx, item in enumerate(raw))
     try:
-        return QuantumChannel(d=d, kraus=tuple(ops))
+        return QuantumChannel(d=d, kraus=ops)
     except (ShapeError, DomainError) as exc:
         raise ParseError(f"{what}: {exc}") from None
 

@@ -168,8 +168,11 @@ def _cmd_decompose(args) -> int:
     if args.d is not None and args.d != d:
         raise _Usage(f"--d {args.d} does not match input matrix size {d}")
     _check_d(d)
-    xi = decompose(a)
-    residual = frobenius_distance(reconstruct(xi), a)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow of finite entries is reported below, in one line
+        xi = decompose(a)
+        residual = frobenius_distance(reconstruct(xi), a)
+    if not (np.isfinite(xi).all() and np.isfinite(residual)):
+        raise DomainError("decompose: the result overflows the float range")
     _emit(args, xi, coefficients_to_json)
     _summary(
         [("d", str(d)), ("roundtrip_residual", format_float(residual)), ("tolerance", format_float(args.tol.norm))]
@@ -182,7 +185,11 @@ def _cmd_reconstruct(args) -> int:
 
     xi = json_to_coefficients(_read_text(args.input), "coefficient table")
     _check_d(xi.shape[0])
-    _emit(args, reconstruct(xi))
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = reconstruct(xi)
+    if not np.isfinite(m).all():
+        raise DomainError("reconstruct: the result overflows the float range")
+    _emit(args, m)
     return EXIT_OK
 
 

@@ -40,7 +40,7 @@ orthogonal environment states, so the output is diagonal,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -94,11 +94,11 @@ class GammaTable:
         g = as_matrix(self.gamma)
         if g.shape[0] != g.shape[1] or g.shape[0] < 2:
             raise ShapeError(f"gamma table must be square with d >= 2, got {g.shape}")
-        if not np.isfinite(g).all():
+        if not np.logical_and.reduce(np.isfinite(g), axis=None):
             raise ValidationError("gamma table contains non-finite entries")
-        mass = (np.abs(g) ** 2).sum(axis=0)
+        mass = np.add.reduce(np.abs(g) ** 2, axis=0)
         bad = np.abs(mass - 1.0) > self.tol.norm
-        if bad.any():
+        if np.logical_or.reduce(bad):
             cols = np.flatnonzero(bad)
             detail = ", ".join(f"column {b}: mass {mass[b]:.12g} (deficit {mass[b] - 1.0:+.3e})" for b in cols)
             raise ValidationError(f"gamma columns are not normalized: {detail}")
@@ -211,7 +211,7 @@ def weyl_form_of_joint(psi, g: GammaTable, *, tol: Tolerances = DEFAULT_TOLERANC
     if psi.shape[0] != g.d:
         raise ShapeError(f"state dimension {psi.shape[0]} does not match gamma dimension {g.d}")
     _, _, ls, ks = _weyl_form_index(g.d)
-    return list(map(WeylFormTerm._make, zip(ls, ks, *_weyl_form_arrays(psi, g))))
+    return list(map(partial(tuple.__new__, WeylFormTerm), zip(ls, ks, *_weyl_form_arrays(psi, g))))
 
 
 def env_gram(g: GammaTable) -> np.ndarray:

@@ -7,8 +7,9 @@ on, the structural validators (kets, density matrices), Hermitian
 eigenvalues, the JSON matrix file format, and the JSON syntax every file
 format is written and read with (``json_object``, ``json_to_table``).
 
-A diagonal density matrix is checked through its diagonal: the finite scan
-reads it, and ``diag.real.min()`` is its smallest eigenvalue, bit for bit.
+A diagonal density matrix is checked through its diagonal vector, and
+``diag.real.min()`` is its smallest eigenvalue, bit for bit.  Entries large
+enough to overflow that check are checked under ``np.errstate``.
 
 Most arrays the package writes are mostly exact zeros (a Weyl element has d
 nonzeros out of d**2), so the pair writer formats only the nonzero pairs and
@@ -86,7 +87,7 @@ def as_vector(a) -> np.ndarray:
 
 
 def _require_finite(a: np.ndarray, what: str) -> None:
-    if not np.isfinite(a).all():
+    if not np.logical_and.reduce(np.isfinite(a), axis=None):
         raise ValidationError(f"{what} contains non-finite entries")
 
 
@@ -238,24 +239,47 @@ def validate_density_matrix(rho, *, tol: Tolerances = DEFAULT_TOLERANCES) -> np.
     if rho.shape[0] != rho.shape[1]:
         raise ShapeError(f"density matrix must be square, got {rho.shape}")
     diag = rho.diagonal()
-    diagonal = np.count_nonzero(rho) == np.count_nonzero(diag)
-    _require_finite(diag if diagonal else rho, "density matrix")
+    _check_density(rho, diag if np.count_nonzero(rho) == np.count_nonzero(diag) else None, tol)
+    return rho
 
+
+# Squared entries summing to at most this bound every entry by 1e150, so no sum,
+# difference or product in the density-matrix check can overflow.
+_SAFE_SQUARES = 1e300
+
+
+def _check_density(rho: np.ndarray, diag, tol: Tolerances, large: bool = False) -> None:
+    """The density-matrix check of a square complex ``rho``; ``diag`` is its diagonal if ``rho`` is diagonal, else None.
+
+    A diagonal state's Hermitian defect is 0.0 when every imaginary part of ``diag`` is zero.  Entries that fail
+    one sum of squares (not finite, or large enough to overflow) are checked under ``np.errstate``.
+    """
+    x = rho if diag is None else diag
+    if not large and not np.vdot(x, x).real <= _SAFE_SQUARES:
+        _require_finite(x, "density matrix")
+        with np.errstate(all="ignore"):
+            return _check_density(rho, diag, tol, large=True)
     failures = []
-    rho_h = rho.conj().T
-    herm_defect = _norm(rho - rho_h)
+    if diag is None:
+        rho_h = rho.conj().T
+        herm_defect = _norm(rho - rho_h)
+        tr = complex(rho.trace())
+    else:
+        herm_defect = _norm(rho - rho.conj().T) if np.logical_or.reduce(diag.imag) else 0.0
+        tr = complex(np.add.reduce(diag))
     if herm_defect > tol.herm:
         failures.append(f"not Hermitian (defect {herm_defect:.3e} > {tol.herm:.3e})")
-    tr = complex(rho.trace())
     if abs(tr - 1.0) > tol.norm:
         failures.append(f"trace {tr!r} is not 1 within {tol.norm:.3e}")
     if not failures:
-        lo = float(diag.real.min() if diagonal else np.linalg.eigvalsh((rho + rho_h) / 2.0)[0])
-        if lo < -tol.psd:
+        if diag is not None:
+            lo = float(np.minimum.reduce(diag.real))
+        else:  # halves first for entries near the float limit, where rho + rho_h would overflow
+            lo = float(np.linalg.eigvalsh(rho / 2.0 + rho_h / 2.0 if large else (rho + rho_h) / 2.0)[0])
+        if not lo >= -tol.psd:
             failures.append(f"not positive semidefinite (min eigenvalue {lo:.3e} < -{tol.psd:.3e})")
     if failures:
         raise ValidationError("invalid density matrix: " + "; ".join(failures))
-    return rho
 
 
 # ---------------------------------------------------------------------------

@@ -239,7 +239,7 @@ def reconstruct(xi) -> np.ndarray:
     # (n + l, n) of the sum collects xi[l, k] * omega**(n*k) over k alone;
     # the reduction adds k in order from zero, the order of the term-by-term sum.
     out = np.empty((d, d), dtype=np.complex128)
-    out.reshape(-1)[c.flat] = (xi[:, :, None] * c.phases).sum(axis=1)  # diags[l, n]
+    out.reshape(-1)[c.flat] = np.add.reduce(xi[:, :, None] * c.phases, axis=1)  # diags[l, n]
     return out
 
 

@@ -4,26 +4,39 @@ Kept below as oracles: the eigvalsh form of the density-matrix check, the
 Weyl-weight checks one at a time, ``np.linalg.norm``, the kron sum of the
 Weyl regrouping and the Kraus sum ``sum_m E_m E_m^dagger``.  Where the
 arithmetic is unchanged the results must match byte for byte, and error
-checks must raise the same class with the same message.
+checks must raise the same class with the same message.  The last part
+covers one check per state: the density check from a diagonal vector, its
+overflow guard, and ``apply_channel``'s record of the state it last returned.
 """
+
+import re
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
 
+import weylkit.channels as channels_module
 from weylkit import (
     DEFAULT_TOLERANCES,
     GammaTable,
     QuantumChannel,
+    apply_channel,
     channel_from_dilation,
+    coefficients_to_json,
     ensemble_to_density,
+    gamma_to_json,
     make_isometry,
+    matrix_to_json,
     unitality_deficit,
     weyl_channel,
 )
+from weylkit.config import replace_tolerance
 from weylkit.dilation import _weyl_form_arrays, _weyl_form_index
-from weylkit.errors import DomainError, ValidationError
+from weylkit.errors import DomainError, ShapeError, ValidationError
 from weylkit.numerics import _norm, validate_density_matrix
-from weylkit.rand import random_gamma, random_ket
+from weylkit.rand import random_density, random_gamma, random_ket
 from weylkit.weyl import _MEMO_DIMS, dim_constants
 
 DIMS = range(2, 33)
@@ -222,3 +235,288 @@ def test_ensemble_rejects_non_finite_weights(bad):
     half = np.eye(2) / 2
     with pytest.raises(DomainError, match="^weights must be finite$"):
         ensemble_to_density([bad, 1.0], [half, half])
+
+
+# ---------------------------------------------------------------------------
+# one density check per state: the guarded check, its diagonal helper and
+# apply_channel's record of its own last output
+
+
+def ref_check(rho):
+    """The reference check, with numpy's warnings silenced for the entries that overflow it."""
+    with np.errstate(all="ignore"):
+        return ref_validate_density_matrix(rho)
+
+
+def _state_cases(d, rng):
+    """Real-diagonal, complex-diagonal and dense states, valid and not, with NaN, +-inf and +-1e308 entries.
+
+    None of them reaches the reference's eigvalsh with an entry that overflows it (see the test below).
+    """
+    yield from _diagonal_cases(d, rng)
+    p = rng.random(d)
+    p /= p.sum()
+    for big in ([1e308], [-1e308], [1e308, 1e308], [1e308, -1e308], [1.7976931348623157e308] * 2):
+        v = p.astype(np.complex128)
+        v[: len(big)] = big
+        yield np.diag(v)  # a trace far from 1, or one that overflows
+    yield np.diag(p + 1e308j)  # a Hermitian defect and a trace that overflow
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    dense = g @ g.conj().T
+    dense /= np.trace(dense).real
+    yield dense  # valid
+    yield 2 * dense  # wrong trace
+    yield dense + 1e-3 * (g - g.conj().T)  # not Hermitian
+    h = (g + g.conj().T) / 2
+    yield h + (1 - np.trace(h).real) / d * np.eye(d)  # unit trace, indefinite
+    for bad in (np.nan, np.inf, -np.inf, 1e308):
+        m = dense.copy()
+        m[0, 0] = bad
+        yield m
+        m = dense.copy()
+        m[0, d - 1] = bad
+        yield m  # NaN, inf off the diagonal; 1e308 makes it non-Hermitian
+    m = dense.copy()
+    m[0, 1], m[1, 0] = 1e308, -1e308
+    yield m  # a Hermitian defect that overflows
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_density_check_matches_the_reference(d):
+    for rho in _state_cases(d, _rng(d)):
+        assert _outcome(validate_density_matrix, rho) == _outcome(ref_check, rho), rho
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_apply_channel_checks_its_input_as_the_reference(d):
+    ch = weyl_channel(np.full((d, d), 1.0 / d ** 2))
+    for rho in _state_cases(d, _rng(d)):
+        want = _outcome(ref_check, rho)
+        if want[0] == "ok":
+            continue
+        try:
+            apply_channel(ch, rho)
+            got = "ok"
+        except ValidationError as exc:
+            got = (type(exc), str(exc))
+        assert got == want, rho
+
+
+def _transition_cases(d, rng):
+    t = rng.random((d, d))
+    t /= t.sum(axis=0)
+    yield t  # column-stochastic: a valid output
+    yield 2 * t  # trace 2
+    neg = t.copy()
+    neg[0, 0], neg[1, 0] = neg[0, 0] - 1.0, neg[1, 0] + 1.0
+    yield neg  # a negative output entry, unit trace
+    for bad in (np.nan, np.inf, 1e308):
+        odd = t.copy()
+        odd[0, 0] = bad
+        yield odd
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_dilation_output_is_checked_from_its_diagonal_as_the_reference(d):
+    rng = _rng(d)
+    p = rng.random(d)
+    p /= p.sum()
+    # The second state has imaginary parts within tol.herm on its diagonal, so its outputs do too.
+    for rho in (np.diag(p + 0j), np.diag(p + 1e-12j * rng.random(d))):
+        for t in _transition_cases(d, rng):
+            ch = QuantumChannel._classical(d, d, t.copy(), None)
+            with np.errstate(all="ignore"):  # T @ diag(rho) with an inf or NaN in T
+                diag = t @ np.diagonal(rho)
+                want = _outcome(ref_check, np.diag(diag))
+                try:
+                    got = "ok", apply_channel(ch, rho).tobytes()
+                except ValidationError as exc:
+                    got = type(exc), str(exc)
+            if want[0] != "ok":
+                want = want[0], f"channel output is not a valid state ({want[1]}); the Kraus list is not CPTP"
+            assert got == want
+
+
+@pytest.mark.parametrize("d", DIMS)
+def test_trace_of_a_diagonal_vector_is_the_matrix_trace(d):
+    rng = _rng(d)
+    for _ in range(200):
+        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        scale = 10.0 ** rng.integers(-20, 20, size=d)
+        a[np.diag_indices(d)] *= scale
+        assert np.complex128(np.add.reduce(a.diagonal().copy())).tobytes() == a.trace().tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 3, 8, 32])
+@pytest.mark.parametrize("big", [1e308, 1.7976931348623157e308])
+def test_an_overflowing_indefinite_state_is_rejected(d, big):
+    # The reference forms (rho + rho^dagger) / 2 with an inf in it: eigvalsh then
+    # returns NaN (accepted at d = 2) or does not converge (a traceback at d = 3).
+    rho = np.eye(d, dtype=np.complex128) / d
+    rho[0, 1] = rho[1, 0] = big
+    msg = f"not positive semidefinite (min eigenvalue {-big:.3e} < -1.000e-09)"
+    with pytest.raises(ValidationError, match=f"^invalid density matrix: {re.escape(msg)}$"):
+        validate_density_matrix(rho)
+
+
+@pytest.mark.parametrize("d", [2, 5, 32])
+def test_overflowing_states_raise_without_numpy_warnings(d):
+    rng = _rng(d)
+    ch = channel_from_dilation(random_gamma(d, rng))
+    states = [rho for rho in _state_cases(d, rng) if np.isfinite(rho).all() and np.abs(rho).max() >= 1e300]
+    states.append(np.eye(d) / d + np.eye(d, k=1) * 1e308 + np.eye(d, k=-1) * 1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for rho in states:
+            for check in (validate_density_matrix, lambda r: apply_channel(ch, r)):
+                with pytest.raises(ValidationError):
+                    check(rho)
+
+
+@pytest.fixture
+def counted_checks(monkeypatch):
+    """Every state apply_channel hands to validate_density_matrix."""
+    checked = []
+    real = channels_module.validate_density_matrix
+
+    def counting(rho, *, tol=DEFAULT_TOLERANCES):
+        checked.append(rho)
+        return real(rho, tol=tol)
+
+    monkeypatch.setattr(channels_module, "validate_density_matrix", counting)
+    return checked
+
+
+def _weights(d, rng):
+    w = rng.random((d, d))
+    return w / w.sum()
+
+
+class TestOneCheckPerState:
+    def test_own_unmodified_output_is_not_checked_again(self, counted_checks):
+        rng = _rng(3)
+        dil, wey = channel_from_dilation(random_gamma(3, rng)), weyl_channel(_weights(3, rng))
+        rho = random_density(3, rng)
+        out1 = apply_channel(dil, rho)
+        assert len(counted_checks) == 1 and counted_checks[0] is rho  # the dilation output is checked in closed form
+        out2 = apply_channel(wey, out1)
+        assert [x is out2 for x in counted_checks[1:]] == [True]
+        apply_channel(dil, out2)
+        assert len(counted_checks) == 2
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda out: out.copy(),
+            lambda out: out.reshape(out.shape),
+            lambda out: out.astype(np.clongdouble),
+            lambda out: out.T,
+        ],
+        ids=["copy", "reshaped", "dtype", "transposed"],
+    )
+    def test_another_array_is_checked(self, counted_checks, change):
+        rng = _rng(4)
+        dil, wey = channel_from_dilation(random_gamma(4, rng)), weyl_channel(_weights(4, rng))
+        out = apply_channel(dil, random_density(4, rng))
+        other = change(out)
+        counted_checks.clear()
+        apply_channel(wey, other)
+        assert counted_checks[0] is other and len(counted_checks) == 2
+
+    def test_output_edited_in_place_is_checked(self):
+        rng = _rng(5)
+        dil, wey = channel_from_dilation(random_gamma(5, rng)), weyl_channel(_weights(5, rng))
+        out = apply_channel(dil, random_density(5, rng))
+        out[0, 0] += 0.5
+        with pytest.raises(ValidationError, match=r"^invalid density matrix: trace \(1\.5"):
+            apply_channel(wey, out)
+
+    def test_output_edited_to_another_valid_state_is_checked(self, counted_checks):
+        rng = _rng(5)
+        dil, wey = channel_from_dilation(random_gamma(5, rng)), weyl_channel(_weights(5, rng))
+        out = apply_channel(dil, random_density(5, rng))
+        out[[0, 1], [0, 1]] = out[[1, 0], [1, 0]]
+        counted_checks.clear()
+        apply_channel(wey, out)
+        assert counted_checks[0] is out
+
+    @pytest.mark.parametrize("attr, value", [("shape", (1, 36)), ("dtype", np.float64)])
+    def test_reshaped_or_retyped_in_place_is_checked(self, attr, value):
+        rng = _rng(6)
+        dil, wey = channel_from_dilation(random_gamma(6, rng)), weyl_channel(_weights(6, rng))
+        out = apply_channel(dil, random_density(6, rng))
+        setattr(out, attr, value)  # same object and bytes, another matrix
+        with pytest.raises(ShapeError, match="^density matrix must be square"):
+            apply_channel(wey, out)
+
+    def test_retyped_in_place_to_the_same_item_size_is_checked(self, counted_checks):
+        rng = _rng(3)
+        dil, wey = channel_from_dilation(random_gamma(3, rng)), weyl_channel(_weights(3, rng))
+        out = apply_channel(dil, random_density(3, rng))
+        out.dtype = np.dtype([("re", "f8"), ("im", "f8")])  # same object, shape and bytes
+        counted_checks.clear()
+        with pytest.raises(TypeError):
+            apply_channel(wey, out)
+        assert [x is out for x in counted_checks] == [True]
+
+    def test_other_tolerances_object_is_checked(self, counted_checks):
+        rng = _rng(3)
+        dil, wey = channel_from_dilation(random_gamma(3, rng)), weyl_channel(_weights(3, rng))
+        out = apply_channel(dil, random_density(3, rng))
+        equal = replace_tolerance(DEFAULT_TOLERANCES, "norm", DEFAULT_TOLERANCES.norm)
+        counted_checks.clear()
+        apply_channel(wey, out, tol=equal)
+        assert counted_checks[0] is out
+
+    def test_collected_output_leaves_no_state(self):
+        rng = _rng(2)
+        dil = channel_from_dilation(random_gamma(2, rng))
+        apply_channel(dil, random_density(2, rng))  # its output is dropped at once
+        with pytest.raises(ShapeError, match="^expected a 2-d matrix, got array of rank 0$"):
+            apply_channel(dil, None)
+
+    def test_record_holds_at_most_16_kib(self):
+        rng = _rng(33)
+        for d in (32, 33):
+            out = apply_channel(weyl_channel(_weights(d, rng)), np.eye(d) / d)
+            ref, shape, dtype, data, _ = channels_module._last_output
+            assert len(data) <= 16 * 1024
+            assert (ref() is out) == (d == 32)
+
+    @pytest.mark.parametrize("d", [2, 5, 8, 32])
+    def test_chained_dilation_then_weyl_calls_eigvalsh_for_the_dense_input_only(self, d, monkeypatch):
+        rng = _rng(d)
+        dil, wey = channel_from_dilation(random_gamma(d, rng)), weyl_channel(_weights(d, rng))
+        rho = random_density(d, rng)
+        eigvalsh = np.linalg.eigvalsh
+        calls = []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+        apply_channel(wey, apply_channel(dil, rho))
+        assert calls == [(d, d)]
+
+
+def _overflow_documents(tmp_path):
+    big = np.diag([1e308, 1e308]).astype(np.complex128)
+    (tmp_path / "big.json").write_text(matrix_to_json(big))
+    (tmp_path / "xi.json").write_text(coefficients_to_json(np.full((2, 2), 1e308)))
+    (tmp_path / "g.json").write_text(gamma_to_json(GammaTable.uniform(2)))
+    return tmp_path
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["decompose", "--in", "big.json"], "error: decompose: the result overflows the float range"),
+        (["reconstruct", "--in", "xi.json"], "error: reconstruct: the result overflows the float range"),
+        (
+            ["channel", "--gamma", "g.json", "--rho", "big.json"],
+            "error: invalid density matrix: trace (inf+0j) is not 1 within 1.000e-10",
+        ),
+    ],
+    ids=["decompose", "reconstruct", "channel"],
+)
+def test_cli_overflow_is_one_error_line(tmp_path, argv, line):
+    res = subprocess.run(
+        [sys.executable, "-m", "weylkit", *argv], cwd=_overflow_documents(tmp_path), capture_output=True, text=True
+    )
+    assert (res.returncode, res.stdout, res.stderr) == (3, "", line + "\n")

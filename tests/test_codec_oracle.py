@@ -3,7 +3,9 @@
 ``ref_format_complex_pairs`` formats every component and ``ref_parse_complex_pairs``
 reads every pair in a loop; both are kept verbatim as oracles.  The writer
 must give the same bytes or the same ``ValidationError`` text, and the reader
-the same array or the same ``ParseError`` text, entry index included.
+the same array or the same ``ParseError`` text, entry index included.  The
+channel reader, which decodes well-formed operators in one call, is checked
+the same way against ``ref_json_to_channel``, which decodes one operator at a time.
 """
 
 import cmath
@@ -12,8 +14,28 @@ import json
 import numpy as np
 import pytest
 
-from weylkit import ParseError, ValidationError, channel_from_dilation, choi_matrix, weyl_basis
-from weylkit.numerics import format_complex_pairs, format_float, parse_complex_pairs
+import weylkit.channels as channels_module
+from weylkit import (
+    DomainError,
+    ParseError,
+    QuantumChannel,
+    ShapeError,
+    ValidationError,
+    channel_from_dilation,
+    channel_to_json,
+    choi_matrix,
+    json_to_channel,
+    weyl_basis,
+    weyl_channel,
+)
+from weylkit.numerics import (
+    format_complex_pairs,
+    format_float,
+    matrix_from_object,
+    parse_complex_pairs,
+    parse_json_document,
+    require_int_field,
+)
 from weylkit.rand import random_gamma
 
 EXTREMES = (0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 1.0, -3.0, 2.0**60)
@@ -164,3 +186,69 @@ def test_reader_result_is_writable():
     out = parse_complex_pairs([[1.0, 2.0], [3.0, 4.0]], 2, "input")
     out[0] = 0.0
     assert out.flags.writeable and out[0] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# channel documents: one bulk decode of well-formed operators
+
+
+def ref_json_to_channel(text, what="channel"):
+    """The reader that decodes each Kraus matrix on its own."""
+    doc = parse_json_document(text, what)
+    d = require_int_field(doc, "d", what, minimum=2)
+    raw = doc.get("kraus")
+    if not isinstance(raw, list) or not raw:
+        raise ParseError(f"{what}: field 'kraus' must be a nonempty list of matrices")
+    ops = [matrix_from_object(item, f"{what}: kraus[{idx}]") for idx, item in enumerate(raw)]
+    try:
+        return QuantumChannel(d=d, kraus=tuple(ops))
+    except (ShapeError, DomainError) as exc:
+        raise ParseError(f"{what}: {exc}") from None
+
+
+def _channel_cases():
+    base = json.loads(channel_to_json(weyl_channel(np.full((3, 3), 1.0 / 9))))
+
+    def edit(change):
+        doc = json.loads(json.dumps(base))
+        change(doc)
+        return json.dumps(doc)
+
+    yield "valid", json.dumps(base)
+    yield "ints", edit(lambda doc: doc["kraus"][0].update(entries=[[1, 0], [0, 0], [0, 0]] * 3))
+    for name, entry in (("string", "x"), ("short", [1.0]), ("bool", [True, 0]), ("nan", [float("nan"), 0])):
+        yield f"entry_{name}", edit(lambda doc, entry=entry: doc["kraus"][4]["entries"].__setitem__(5, entry))
+    yield "entry_huge_int", edit(lambda doc: doc["kraus"][2]["entries"].__setitem__(0, [10 ** 400, 0]))
+    for key, value in (("rows", 3.0), ("rows", True), ("cols", 0), ("rows", "3")):
+        yield f"{key}_{value!r}", edit(lambda doc, key=key, value=value: doc["kraus"][1].__setitem__(key, value))
+    yield "missing_entries", edit(lambda doc: doc["kraus"][3].pop("entries"))
+    yield "item_list", edit(lambda doc: doc["kraus"].__setitem__(2, [1, 2]))
+    yield "other_shape", edit(lambda doc: doc["kraus"][7].update(rows=2, cols=2, entries=[[0.5, 0]] * 4))
+    yield "long_and_short", edit(
+        lambda doc: (doc["kraus"][0]["entries"].append([0, 0]), doc["kraus"][1]["entries"].pop())
+    )
+    yield "non_square", edit(lambda doc: doc["kraus"][5].update(rows=1, cols=9))
+
+
+@pytest.mark.parametrize("name, text", list(_channel_cases()), ids=[name for name, _ in _channel_cases()])
+def test_channel_reader_matches_the_per_operator_reader(name, text):
+    want = _outcome(ref_json_to_channel, text)
+    got = _outcome(json_to_channel, text)
+    assert got[0] == want[0]
+    if want[0] == "ok":
+        assert got[1].d == want[1].d and got[1].stack.tobytes() == want[1].stack.tobytes()
+    else:
+        assert got[1] == want[1]
+
+
+def test_channel_reader_decodes_well_formed_operators_in_one_call(monkeypatch):
+    calls = []
+    real = matrix_from_object
+    monkeypatch.setattr(channels_module, "matrix_from_object", lambda *args: calls.append(args) or real(*args))
+    ch = json_to_channel(channel_to_json(weyl_channel(np.full((4, 4), 1.0 / 16))))
+    assert len(ch) == 16 and calls == []
+    op = {"rows": 2, "cols": 2, "entries": [[1, 0], [0, 0], [0, 0], [1, 0]]}
+    bad = {"rows": 2, "cols": 2, "entries": [[1], [0, 0], [0, 0], [1, 0]]}
+    with pytest.raises(ParseError, match=r"^channel: kraus\[3\]: entry 0 is not a \[re, im\] number pair$"):
+        json_to_channel(json.dumps({"d": 2, "kraus": [op, op, op, bad]}))
+    assert len(calls) == 4  # the bulk decode failed, so the loop named the operator and the entry
