@@ -268,7 +268,7 @@ def _state_cases(d, rng):
     yield 2 * dense  # wrong trace
     yield dense + 1e-3 * (g - g.conj().T)  # not Hermitian
     h = (g + g.conj().T) / 2
-    yield h + (1 - np.trace(h).real) / d * np.eye(d)  # unit trace, indefinite
+    yield h + (1 - np.trace(h).real) / d * np.eye(d)  # unit trace, Hermitian, mostly indefinite
     for bad in (np.nan, np.inf, -np.inf, 1e308):
         m = dense.copy()
         m[0, 0] = bad
