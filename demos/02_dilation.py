@@ -16,9 +16,7 @@ from weylkit import (
     evolve_density,
     evolve_pure,
     frobenius_distance,
-    kron,
     make_isometry,
-    outer,
     partial_trace_env,
     weyl_form_of_joint,
 )
@@ -50,7 +48,7 @@ print("\njoint state dimension:", joint.shape[0], " norm:", np.linalg.norm(joint
 # The same joint state regroups into d**2 Weyl terms: system factor
 # X_l Z_k |psi>, environment factor the unnormalized vector v_lk.
 terms = weyl_form_of_joint(psi, g)
-reassembled = sum(kron(t.sys, t.env) for t in terms) / d
+reassembled = sum(np.kron(t.sys, t.env) for t in terms) / d
 print("Weyl reassembly error:", np.linalg.norm(reassembled - joint))
 
 print("\nenvironment term norms ||v_lk|| (rows l, columns k):")
@@ -67,10 +65,10 @@ print("per-l overlap block for a random table (l = 0):\n", env_gram(g)[0])
 # ---------------------------------------------------------------------------
 # Mixed states ride along by conjugation; purity and trace survive, and
 # tracing the environment back out recovers a d x d state again.
-rho = outer(psi, psi)
+rho = np.outer(psi, psi.conj())
 joint_rho = evolve_density(rho, g)
 print("\njoint density trace:", np.trace(joint_rho).real)
-print("purity preserved:", frobenius_distance(joint_rho, outer(joint, joint)) < 1e-12)
+print("purity preserved:", frobenius_distance(joint_rho, np.outer(joint, joint.conj())) < 1e-12)
 
 reduced = partial_trace_env(joint_rho, d, d * d)
 print("reduced state after the interaction:\n", reduced)
@@ -78,7 +76,7 @@ print("reduced state after the interaction:\n", reduced)
 # A uniform-magnitude table scrambles completely: whatever goes in, the
 # maximally mixed state comes out.
 for ket_index in range(d):
-    rho_in = outer(basis_ket(d, ket_index), basis_ket(d, ket_index))
+    rho_in = np.outer(basis_ket(d, ket_index), basis_ket(d, ket_index))  # a real ket needs no conjugate
     reduced = partial_trace_env(evolve_density(rho_in, uniform), d, d * d)
     print(f"input |{ket_index}><{ket_index}| ->  distance from I/d:",
           frobenius_distance(reduced, np.eye(d) / d))

@@ -21,7 +21,6 @@ from weylkit import (
     frobenius_distance,
     is_trace_preserving,
     kraus_mix,
-    outer,
     partial_trace_env,
     unitality_deficit,
     weyl_channel,
@@ -89,4 +88,4 @@ print("Choi(depolarizing):\n", choi_matrix(uniform).real)
 g_reset = GammaTable(np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex))
 reset = channel_from_dilation(g_reset)
 print("\nreset-style dilation sends everything to |0><0|:")
-print(apply_channel(reset, outer(basis_ket(d, 1), basis_ket(d, 1))))
+print(apply_channel(reset, np.outer(basis_ket(d, 1), basis_ket(d, 1))))

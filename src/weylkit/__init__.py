@@ -49,18 +49,12 @@ _EXPORTS = {
     "errors": ("DomainError", "ParseError", "ShapeError", "ValidationError", "WeylkitError"),
     "numerics": (
         "basis_ket",
-        "dagger",
         "frobenius_distance",
-        "frobenius_norm",
         "hermitian_eigenvalues",
         "json_to_matrix",
         "json_to_vector",
-        "kron",
-        "matmul",
         "matrix_to_json",
-        "outer",
         "partial_trace_env",
-        "trace",
         "validate_density_matrix",
         "validate_ket",
         "vector_to_json",

@@ -42,6 +42,8 @@ from .dilation import GammaTable, make_isometry
 from .errors import DomainError, ParseError, ShapeError, ValidationError
 from .numerics import (
     _check_density,
+    _check_weights,
+    _require_finite,
     as_matrix,
     frobenius_distance,
     json_object,
@@ -124,8 +126,8 @@ class QuantumChannel:
 
     def _own(self, d: int, stack: np.ndarray, finite: bool = False) -> None:
         """Hold ``stack`` as the read-only Kraus stack, rejecting non-finite entries unless it is known ``finite``."""
-        if not finite and not np.logical_and.reduce(np.isfinite(stack), axis=None):
-            raise ValidationError("Kraus operator contains non-finite entries")
+        if not finite:
+            _require_finite(stack, "Kraus operator")
         stack.setflags(write=False)
         object.__setattr__(self, "stack", stack)
         self._hold(d, len(stack), None, None)
@@ -288,18 +290,7 @@ def weyl_channel(weights, *, tol: Tolerances = DEFAULT_TOLERANCES) -> QuantumCha
     p = p.astype(np.float64)
     if p.ndim != 2 or p.shape[0] != p.shape[1] or p.shape[0] < 2:
         raise ShapeError(f"weights must be a square (d, d) table with d >= 2, got {p.shape}")
-    lo = np.minimum.reduce(p, axis=None)  # NaN if a weight is NaN
-    if lo >= 0 and np.maximum.reduce(p, axis=None) <= 1:  # the sum of weights in [0, 1] cannot overflow
-        total = float(np.add.reduce(p, axis=None))
-    else:
-        with np.errstate(over="ignore"):  # an overflowing sum is inf, which the sum check reports
-            total = float(np.add.reduce(p, axis=None)) if lo >= 0 else np.nan  # summed only when every weight is >= 0
-    if not abs(total - 1.0) <= tol.norm:  # valid weights pass this one test; the checks below report in order
-        if not np.isfinite(p).all():
-            raise DomainError("weights must be finite")
-        if (p < 0).any():
-            raise DomainError(f"weights must be nonnegative, got minimum {float(p.min())!r}")
-        raise DomainError(f"weights must sum to 1 within {tol.norm}, got {total!r}")
+    _check_weights(p, tol)
     d = p.shape[0]
     keep = np.sqrt(p * d) >= tol.prune
     if not np.logical_or.reduce(keep, axis=None):

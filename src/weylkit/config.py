@@ -33,11 +33,6 @@ class Tolerances:
     psd : float
         Most negative eigenvalue accepted when checking positive
         semidefiniteness.
-    jacobi : float
-        Unused.  It was the stopping threshold of a built-in Jacobi
-        eigensolver; eigenvalues now come from ``numpy.linalg.eigvalsh``.  The
-        name is still accepted (``replace_tolerance``, ``--tol``) so existing
-        settings keep working, and has no effect.
     cptp : float
         Allowed trace-preservation deficit of a quantum channel.  Looser than
         the construction tolerances because it accumulates up to d**2 matrix
@@ -50,7 +45,6 @@ class Tolerances:
     norm: float = 1e-10
     herm: float = 1e-10
     psd: float = 1e-9
-    jacobi: float = 1e-12
     cptp: float = 1e-9
     prune: float = 1e-12
 
@@ -64,14 +58,16 @@ def replace_tolerance(tol: Tolerances, name: str, value: float) -> Tolerances:
     """Return a copy of ``tol`` with the named tolerance replaced.
 
     Accepts the short field names (``norm``) as well as the conventional
-    upper-case spelling (``NORM_TOL``), case-insensitively.
+    upper-case spelling (``NORM_TOL``), case-insensitively.  ``jacobi``, the
+    threshold of a former built-in eigensolver, is accepted by name only:
+    ``tol`` comes back unchanged, so existing settings keep working.
     """
     key = name.strip().lower()
     if key.endswith("_tol"):
         key = key[: -len("_tol")]
-    if key not in TOLERANCE_NAMES:
+    if key not in TOLERANCE_NAMES and key != "jacobi":
         known = ", ".join(TOLERANCE_NAMES)
         raise DomainError(f"unknown tolerance {name!r}; known names: {known}")
     if not value > 0:
         raise DomainError(f"tolerance {name!r} must be positive, got {value}")
-    return dataclasses.replace(tol, **{key: value})
+    return tol if key == "jacobi" else dataclasses.replace(tol, **{key: value})

@@ -48,6 +48,8 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import DomainError, ShapeError, ValidationError
 from .numerics import (
+    _check_weights,
+    _require_finite,
     as_matrix,
     format_complex_pairs,
     json_object,
@@ -94,8 +96,7 @@ class GammaTable:
         g = as_matrix(self.gamma)
         if g.shape[0] != g.shape[1] or g.shape[0] < 2:
             raise ShapeError(f"gamma table must be square with d >= 2, got {g.shape}")
-        if not np.logical_and.reduce(np.isfinite(g), axis=None):
-            raise ValidationError("gamma table contains non-finite entries")
+        _require_finite(g, "gamma table")
         mass = np.add.reduce(np.abs(g) ** 2, axis=0)
         bad = np.abs(mass - 1.0) > self.tol.norm
         if np.logical_or.reduce(bad):
@@ -228,15 +229,12 @@ def env_gram(g: GammaTable) -> np.ndarray:
     table therefore has orthonormal environment vectors.
     """
     d = g.d
-    out = np.empty((d, d, d), dtype=np.complex128)
     z = np.arange(d)
     c = dim_constants(d)  # c.phases[t, z] = omega**(t*z)
     shifts = (z - z[:, None]) % d  # shifts[k, k'] = k' - k mod d
-    for l in range(d):
-        w = np.abs(g.gamma[c.rows[l], z]) ** 2
-        sums = c.phases @ w  # sums[t] = sum_z omega**(t*z) |gamma|**2
-        out[l] = sums[shifts]
-    return out
+    w = np.abs(g.gamma.reshape(-1)[c.flat]) ** 2  # w[l, z] = |gamma[z + l, z]|**2
+    sums = (c.phases @ w[:, :, None])[:, :, 0]  # sums[l, t] = sum_z omega**(t*z) w[l, z], one matrix-vector product per l
+    return sums[:, shifts]
 
 
 def evolve_density(rho, g: GammaTable, *, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
@@ -259,13 +257,7 @@ def ensemble_to_density(weights, states, *, tol: Tolerances = DEFAULT_TOLERANCES
     p = np.asarray(weights, dtype=np.float64)
     if p.ndim != 1 or p.size == 0:
         raise DomainError(f"weights must be a nonempty 1-d sequence, got shape {p.shape}")
-    if not np.isfinite(p).all():
-        raise DomainError("weights must be finite")
-    if np.any(p < 0):
-        raise DomainError(f"weights must be nonnegative, got {p.tolist()}")
-    total = float(p.sum())
-    if abs(total - 1.0) > tol.norm:
-        raise DomainError(f"weights must sum to 1 within {tol.norm}, got {total!r}")
+    _check_weights(p, tol)
     mats = [as_matrix(s) for s in states]
     if len(mats) != p.size:
         raise ShapeError(f"{p.size} weights but {len(mats)} states")

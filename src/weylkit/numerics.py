@@ -2,10 +2,12 @@
 
 Everything in this package moves through plain ``numpy.ndarray`` values of
 dtype ``complex128``: operators and isometries are 2-d arrays, state vectors
-are 1-d arrays.  This module supplies the arithmetic the other modules build
-on, the structural validators (kets, density matrices), Hermitian
-eigenvalues, the JSON matrix file format, and the JSON syntax every file
-format is written and read with (``json_object``, ``json_to_table``).
+are 1-d arrays; products, conjugate transposes, traces and Kronecker
+products are numpy's own.  This module supplies the partial trace and the
+Frobenius distance, the one copy of each input check (finite entries, weight
+tables, kets, density matrices), Hermitian eigenvalues, the JSON matrix file
+format, and the JSON syntax every file format is written and read with
+(``json_object``, ``json_to_table``).
 
 A diagonal density matrix is checked through its diagonal vector, and
 ``diag.real.min()`` is its smallest eigenvalue, bit for bit.  Entries large
@@ -40,19 +42,13 @@ import math
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .errors import ParseError, ShapeError, ValidationError
+from .errors import DomainError, ParseError, ShapeError, ValidationError
 
 __all__ = [
     "as_matrix",
     "as_vector",
-    "matmul",
-    "dagger",
-    "trace",
-    "kron",
-    "outer",
     "partial_trace_env",
     "hermitian_eigenvalues",
-    "frobenius_norm",
     "frobenius_distance",
     "basis_ket",
     "validate_ket",
@@ -65,7 +61,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# coercion helpers
+# coercion and input checks
 
 
 def as_matrix(a) -> np.ndarray:
@@ -91,51 +87,49 @@ def _require_finite(a: np.ndarray, what: str) -> None:
         raise ValidationError(f"{what} contains non-finite entries")
 
 
-# ---------------------------------------------------------------------------
-# arithmetic
+# Squared entries summing to at most this bound every entry by 1e150, so no sum,
+# difference or product in the Hermitian and density-matrix checks can overflow.
+_SAFE_SQUARES = 1e300
 
 
-def matmul(a, b) -> np.ndarray:
-    """Matrix product ``a @ b`` with an explicit shape check."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply {a.shape} by {b.shape}: inner dimensions differ")
-    return a @ b
+def _large(x: np.ndarray, what: str) -> bool:
+    """Whether the entries of ``x`` fail one sum of squares against ``_SAFE_SQUARES``; non-finite ones raise."""
+    if np.vdot(x, x).real <= _SAFE_SQUARES:
+        return False
+    _require_finite(x, what)
+    return True
 
 
-def dagger(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(a).conj().T.copy()
+def _hermitian_part(a: np.ndarray, large: bool) -> tuple[float, np.ndarray]:
+    """``||a - a^H||_F`` and the Hermitian part ``(a + a^H) / 2`` of a finite square ``a``.
 
-
-def trace(a) -> complex:
-    """Sum of diagonal entries of a square matrix."""
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ShapeError(f"trace requires a square matrix, got {a.shape}")
-    return complex(np.trace(a))
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product with the left factor on the outer (slow) index.
-
-    ``kron(a, b)[i * b.rows + k, j * b.cols + l] == a[i, j] * b[k, l]``.
-    Also accepts vectors, returning the tensor-product vector under the same
-    ordering.
+    For ``large`` entries the halves are formed first, so the part cannot overflow; the defect may then be inf.
     """
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    if a.ndim == 1 and b.ndim == 1:
-        return np.kron(a, b)
-    return np.kron(as_matrix(a), as_matrix(b))
+    a_h = a.conj().T
+    if not large:
+        return _norm(a - a_h), (a + a_h) / 2.0
+    with np.errstate(all="ignore"):
+        return _norm(a - a_h), a / 2.0 + a_h / 2.0
 
 
-def outer(u, v) -> np.ndarray:
-    """Rank-one operator ``|u><v|`` (second argument is conjugated)."""
-    u = as_vector(u)
-    v = as_vector(v)
-    return np.outer(u, v.conj())
+def _check_weights(p: np.ndarray, tol: Tolerances) -> None:
+    """Check that the float64 weights ``p`` are finite, nonnegative and sum to 1 within ``tol.norm``."""
+    lo = np.minimum.reduce(p, axis=None)  # NaN if a weight is NaN
+    if lo >= 0 and np.maximum.reduce(p, axis=None) <= 1:  # the sum of weights in [0, 1] cannot overflow
+        total = float(np.add.reduce(p, axis=None))
+    else:
+        with np.errstate(over="ignore"):  # an overflowing sum is inf, which the sum check reports
+            total = float(np.add.reduce(p, axis=None)) if lo >= 0 else np.nan  # summed only when every weight is >= 0
+    if not abs(total - 1.0) <= tol.norm:  # valid weights pass this one test; the checks below report in order
+        if not np.isfinite(p).all():
+            raise DomainError("weights must be finite")
+        if (p < 0).any():
+            raise DomainError(f"weights must be nonnegative, got minimum {float(p.min())!r}")
+        raise DomainError(f"weights must sum to 1 within {tol.norm}, got {total!r}")
+
+
+# ---------------------------------------------------------------------------
+# partial trace and Frobenius distance
 
 
 def partial_trace_env(joint, d_sys: int, d_env: int) -> np.ndarray:
@@ -161,11 +155,6 @@ def _norm(a: np.ndarray) -> float:
     return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
 
 
-def frobenius_norm(a) -> float:
-    """Frobenius norm ``sqrt(sum |a|**2)`` of a matrix or vector."""
-    return _norm(np.asarray(a, dtype=np.complex128))
-
-
 def frobenius_distance(a, b) -> float:
     """Frobenius norm of ``a - b``; zero iff the arrays are entrywise equal."""
     a = np.asarray(a, dtype=np.complex128)
@@ -184,24 +173,24 @@ def hermitian_eigenvalues(a, *, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndar
 
     The input is checked to be square, finite and Hermitian within
     ``tol.herm``; the spectrum of its Hermitian part then comes from LAPACK
-    through ``numpy.linalg.eigvalsh``.
+    through ``numpy.linalg.eigvalsh``.  Entries up to the float limit are
+    accepted: the Hermitian part is then formed from halves.
 
     Raises
     ------
     ValidationError
-        If the input is not Hermitian within ``tol.herm``.
+        If the input is not finite, or not Hermitian within ``tol.herm``.
     """
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise ShapeError(f"eigenvalues require a square matrix, got {a.shape}")
-    _require_finite(a, "matrix")
-    defect = frobenius_distance(a, a.conj().T)
+    defect, herm = _hermitian_part(a, _large(a, "matrix"))
     if defect > tol.herm:
         raise ValidationError(
             f"matrix is not Hermitian: ||A - A^dagger||_F = {defect:.3e} "
             f"exceeds {tol.herm:.3e}"
         )
-    return np.linalg.eigvalsh((a + a.conj().T) / 2.0)
+    return np.linalg.eigvalsh(herm)
 
 
 # ---------------------------------------------------------------------------
@@ -243,26 +232,18 @@ def validate_density_matrix(rho, *, tol: Tolerances = DEFAULT_TOLERANCES) -> np.
     return rho
 
 
-# Squared entries summing to at most this bound every entry by 1e150, so no sum,
-# difference or product in the density-matrix check can overflow.
-_SAFE_SQUARES = 1e300
-
-
 def _check_density(rho: np.ndarray, diag, tol: Tolerances, large: bool = False) -> None:
     """The density-matrix check of a square complex ``rho``; ``diag`` is its diagonal if ``rho`` is diagonal, else None.
 
     A diagonal state's Hermitian defect is 0.0 when every imaginary part of ``diag`` is zero.  Entries that fail
     one sum of squares (not finite, or large enough to overflow) are checked under ``np.errstate``.
     """
-    x = rho if diag is None else diag
-    if not large and not np.vdot(x, x).real <= _SAFE_SQUARES:
-        _require_finite(x, "density matrix")
+    if not large and _large(rho if diag is None else diag, "density matrix"):
         with np.errstate(all="ignore"):
             return _check_density(rho, diag, tol, large=True)
     failures = []
     if diag is None:
-        rho_h = rho.conj().T
-        herm_defect = _norm(rho - rho_h)
+        herm_defect, herm = _hermitian_part(rho, large)
         tr = complex(rho.trace())
     else:
         herm_defect = _norm(rho - rho.conj().T) if np.logical_or.reduce(diag.imag) else 0.0
@@ -272,10 +253,7 @@ def _check_density(rho: np.ndarray, diag, tol: Tolerances, large: bool = False) 
     if abs(tr - 1.0) > tol.norm:
         failures.append(f"trace {tr!r} is not 1 within {tol.norm:.3e}")
     if not failures:
-        if diag is not None:
-            lo = float(np.minimum.reduce(diag.real))
-        else:  # halves first for entries near the float limit, where rho + rho_h would overflow
-            lo = float(np.linalg.eigvalsh(rho / 2.0 + rho_h / 2.0 if large else (rho + rho_h) / 2.0)[0])
+        lo = float(np.minimum.reduce(diag.real) if diag is not None else np.linalg.eigvalsh(herm)[0])
         if not lo >= -tol.psd:
             failures.append(f"not positive semidefinite (min eigenvalue {lo:.3e} < -{tol.psd:.3e})")
     if failures:

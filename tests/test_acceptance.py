@@ -18,19 +18,16 @@ from weylkit import (
     channels_equal,
     choi_matrix,
     commutator_in_basis,
-    dagger,
     decompose,
     evolve_density,
     evolve_pure,
     frobenius_distance,
     gram_matrix,
     is_trace_preserving,
-    kron,
     kraus_mix,
     make_isometry,
     partial_trace_env,
     reconstruct,
-    trace,
     weyl_basis,
     weyl_channel,
     weyl_form_of_joint,
@@ -86,7 +83,7 @@ def test_03_round_trip_and_parseval():
             a = random_complex_matrix(d, rng)
             xi = decompose(a)
             assert frobenius_distance(reconstruct(xi), a) < 1e-10
-            parseval = abs(np.sum(np.abs(xi) ** 2) - trace(dagger(a) @ a).real / d)
+            parseval = abs(np.sum(np.abs(xi) ** 2) - np.trace(a.conj().T @ a).real / d)
             assert parseval < 1e-10
     report("3 round trip + Parseval (100 random matrices, d in {2,3,5,8})")
 
@@ -102,7 +99,7 @@ def test_04_dilation_consistency():
             assert frobenius_distance(v.conj().T @ v, np.eye(d)) < 1e-10
             direct = evolve_pure(psi, g)
             terms = weyl_form_of_joint(psi, g)
-            reassembled = sum(kron(t.sys, t.env) for t in terms) / d
+            reassembled = sum(np.kron(t.sys, t.env) for t in terms) / d
             assert np.linalg.norm(reassembled - direct) < 1e-10
     report("4 dilation consistency (Weyl reassembly, 50 draws, d in {2,3,5})")
 

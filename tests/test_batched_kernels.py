@@ -25,7 +25,6 @@ from weylkit import (
     frobenius_distance,
     is_trace_preserving,
     kraus_mix,
-    kron,
     reconstruct,
     weyl_basis,
     weyl_channel,
@@ -138,7 +137,7 @@ def test_weyl_form_reassembles_evolve_pure(d):
     psi = random_ket(d, rng)
     terms = weyl_form_of_joint(psi, g)
     assert [(t.l, t.k) for t in terms] == [(l, k) for l in range(d) for k in range(d)]
-    reassembled = sum(kron(t.sys, t.env) for t in terms) / d
+    reassembled = sum(np.kron(t.sys, t.env) for t in terms) / d
     assert np.linalg.norm(reassembled - evolve_pure(psi, g)) <= 1e-12
 
 

@@ -19,7 +19,6 @@ from weylkit import (
     kraus_from_isometry,
     kraus_mix,
     make_isometry,
-    outer,
     partial_trace_env,
     replace_tolerance,
     shift_matrix,
@@ -58,7 +57,7 @@ class TestKrausFromIsometry:
             for a in range(d):
                 for b in range(d):
                     e = slots[:, a * d + b, :]
-                    expected = g.gamma[a, b] * outer(basis_ket(d, a - 2 * b), basis_ket(d, -b))
+                    expected = g.gamma[a, b] * np.outer(basis_ket(d, a - 2 * b), basis_ket(d, -b).conj())
                     np.testing.assert_allclose(e, expected, atol=1e-14)
 
     def test_completeness_by_construction(self):
@@ -108,7 +107,7 @@ class TestApplyChannel:
         np.testing.assert_allclose(apply_channel(ch, rho), rho, atol=1e-14)
 
     def test_uniform_weyl_on_ground_state_d2(self):
-        rho = outer(basis_ket(2, 0), basis_ket(2, 0))
+        rho = np.outer(basis_ket(2, 0), basis_ket(2, 0).conj())
         # brute-force sum of the four conjugations
         expected = sum(
             weyl_element(2, l, k) @ rho @ weyl_element(2, l, k).conj().T for l in range(2) for k in range(2)
@@ -119,8 +118,8 @@ class TestApplyChannel:
 
     def test_shift_unitary_channel(self):
         ch = QuantumChannel(d=3, kraus=(shift_matrix(3, 1),))
-        out = apply_channel(ch, outer(basis_ket(3, 0), basis_ket(3, 0)))
-        np.testing.assert_allclose(out, outer(basis_ket(3, 1), basis_ket(3, 1)), atol=1e-14)
+        out = apply_channel(ch, np.outer(basis_ket(3, 0), basis_ket(3, 0).conj()))
+        np.testing.assert_allclose(out, np.outer(basis_ket(3, 1), basis_ket(3, 1).conj()), atol=1e-14)
 
     def test_outputs_stay_positive(self):
         for d in (2, 3):
@@ -303,7 +302,7 @@ class TestChoi:
         expected = np.zeros((d * d, d * d), dtype=complex)
         for i in range(d):
             for j in range(d):
-                eij = outer(basis_ket(d, i), basis_ket(d, j))
+                eij = np.outer(basis_ket(d, i), basis_ket(d, j).conj())
                 image = sum(e @ eij @ e.conj().T for e in ch.kraus)
                 expected += np.kron(image, eij)
         np.testing.assert_allclose(choi_matrix(ch), expected, atol=1e-13)

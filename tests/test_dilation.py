@@ -13,9 +13,7 @@ from weylkit import (
     evolve_density,
     evolve_pure,
     frobenius_distance,
-    kron,
     make_isometry,
-    outer,
     partial_trace_env,
     validate_density_matrix,
     weyl_element,
@@ -126,7 +124,7 @@ class TestEvolvePure:
         g = single_entry_gamma(d, rows=[2, 0, 1])
         joint = evolve_pure(basis_ket(d, 0), g)
         # column 0: a = l, so the unit entry a0 = 2 selects l = 2
-        expected = kron(basis_ket(d, 2), basis_ket(d * d, env_index(d, 2, 0)))
+        expected = np.kron(basis_ket(d, 2), basis_ket(d * d, env_index(d, 2, 0)))
         np.testing.assert_allclose(joint, expected, atol=1e-15)
 
     def test_plus_state_uniform_real_gamma_frozen_vector(self):
@@ -162,7 +160,7 @@ class TestWeylForm:
             g = random_gamma(d, RNG)
             psi = random_ket(d, RNG)
             terms = weyl_form_of_joint(psi, g)
-            reassembled = sum(kron(t.sys, t.env) for t in terms) / d
+            reassembled = sum(np.kron(t.sys, t.env) for t in terms) / d
             direct = evolve_pure(psi, g)
             assert np.linalg.norm(reassembled - direct) < 1e-10
 
@@ -248,8 +246,8 @@ class TestEvolveDensity:
         g = random_gamma(d, RNG)
         v = make_isometry(g)
         for i in range(d):
-            rho = outer(basis_ket(d, i), basis_ket(d, i))
-            np.testing.assert_allclose(evolve_density(rho, g), outer(v[:, i], v[:, i]), atol=1e-14)
+            rho = np.outer(basis_ket(d, i), basis_ket(d, i).conj())
+            np.testing.assert_allclose(evolve_density(rho, g), np.outer(v[:, i], v[:, i].conj()), atol=1e-14)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_trace_preserved(self, d):
@@ -262,7 +260,9 @@ class TestEvolveDensity:
         g = random_gamma(d, RNG)
         psi = random_ket(d, RNG)
         joint_vec = evolve_pure(psi, g)
-        np.testing.assert_allclose(evolve_density(outer(psi, psi), g), outer(joint_vec, joint_vec), atol=1e-13)
+        np.testing.assert_allclose(
+            evolve_density(np.outer(psi, psi.conj()), g), np.outer(joint_vec, joint_vec.conj()), atol=1e-13
+        )
 
     def test_joint_output_is_valid_density(self):
         d = 2
@@ -294,16 +294,16 @@ class TestEvolveDensity:
 
 class TestEnsemble:
     def test_single_projector(self):
-        rho = ensemble_to_density([1.0], [outer(basis_ket(2, 0), basis_ket(2, 0))])
+        rho = ensemble_to_density([1.0], [np.outer(basis_ket(2, 0), basis_ket(2, 0).conj())])
         np.testing.assert_allclose(rho, [[1, 0], [0, 0]], atol=1e-15)
 
     def test_equal_mixture_is_maximally_mixed(self):
-        states = [outer(basis_ket(2, i), basis_ket(2, i)) for i in range(2)]
+        states = [np.outer(basis_ket(2, i), basis_ket(2, i).conj()) for i in range(2)]
         np.testing.assert_allclose(ensemble_to_density([0.5, 0.5], states), np.eye(2) / 2, atol=1e-15)
 
     def test_weighted_mixture_matches_direct_sum(self):
         kets = [random_ket(3, RNG) for _ in range(2)]
-        projectors = [outer(v, v) for v in kets]
+        projectors = [np.outer(v, v.conj()) for v in kets]
         rho = ensemble_to_density([0.25, 0.75], projectors)
         np.testing.assert_allclose(rho, 0.25 * projectors[0] + 0.75 * projectors[1], atol=1e-14)
         assert np.linalg.eigvalsh(rho).min() > -1e-12

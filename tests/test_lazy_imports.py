@@ -1,12 +1,28 @@
 """``import weylkit`` loads submodules on first use, and each CLI command imports only its own layers.
 
-Each check runs in a fresh interpreter, since this test process has already
-imported every module.
+Each import check runs in a fresh interpreter, since this test process has
+already imported every module.  The last test pins the public names.
 """
 
 import subprocess
 import sys
 import textwrap
+
+# weylkit.__all__, so that a change to the public surface shows in the diff.
+PUBLIC_NAMES = (
+    "DEFAULT_TOLERANCES", "DomainError", "GammaTable", "ParseError", "QuantumChannel", "ShapeError",
+    "Tolerances", "ValidationError", "VerifyReport", "WeylBasis", "WeylFormTerm", "WeylIndex",
+    "WeylkitError", "apply_channel", "basis_ket", "channel_from_dilation", "channel_to_json",
+    "channels_equal", "choi_matrix", "choi_to_json", "clock_matrix", "coefficients_to_json",
+    "commutator_in_basis", "decompose", "ensemble_to_density", "env_gram", "env_index",
+    "evolve_density", "evolve_pure", "frobenius_distance", "gamma_to_json", "gram_matrix",
+    "hermitian_eigenvalues", "is_trace_preserving", "json_to_channel", "json_to_coefficients",
+    "json_to_gamma", "json_to_matrix", "json_to_vector", "kraus_from_isometry", "kraus_mix",
+    "make_isometry", "matrix_to_json", "omega", "partial_trace_env", "reconstruct",
+    "replace_tolerance", "run_verification", "shift_matrix", "unitality_deficit",
+    "validate_density_matrix", "validate_ket", "vector_to_json", "weyl_basis", "weyl_channel",
+    "weyl_element", "weyl_form_of_joint",
+)
 
 
 def run_python(code):
@@ -58,3 +74,9 @@ def test_bare_import_loads_nothing_and_resolves_every_name():
             raise AssertionError("unknown attribute resolved")
         """
     )
+
+
+def test_public_names_are_pinned():
+    import weylkit
+
+    assert sorted(weylkit.__all__) == sorted(PUBLIC_NAMES)

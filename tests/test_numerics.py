@@ -5,14 +5,9 @@ from weylkit import (
     ShapeError,
     ValidationError,
     basis_ket,
-    dagger,
     frobenius_distance,
     hermitian_eigenvalues,
-    kron,
-    matmul,
-    outer,
     partial_trace_env,
-    trace,
     validate_density_matrix,
     validate_ket,
 )
@@ -26,78 +21,69 @@ RNG = np.random.default_rng(1234)
 class TestMatmul:
     def test_identity(self):
         a = random_complex_matrix(3, RNG)
-        np.testing.assert_array_equal(matmul(np.eye(2), [[1, 2], [3, 4]]), [[1, 2], [3, 4]])
-        np.testing.assert_allclose(matmul(np.eye(3), a), a)
+        np.testing.assert_array_equal(np.eye(2) @ np.array([[1, 2], [3, 4]]), [[1, 2], [3, 4]])
+        np.testing.assert_allclose(np.eye(3) @ a, a)
 
     def test_hand_product(self):
-        x = [[0, 1], [1, 0]]
-        z = [[1, 0], [0, -1]]
-        np.testing.assert_array_equal(matmul(x, z), [[0, -1], [1, 0]])
+        # X Z at d = 2 with the package's shift and clock
+        np.testing.assert_array_equal(shift_matrix(2, 1) @ clock_matrix(2, 1), [[0, -1], [1, 0]])
 
     def test_zero(self):
         a = random_complex_matrix(4, RNG)
-        np.testing.assert_array_equal(matmul(np.zeros((4, 4)), a), np.zeros((4, 4)))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            matmul(np.ones((2, 3)), np.ones((2, 3)))
+        np.testing.assert_array_equal(np.zeros((4, 4)) @ a, np.zeros((4, 4)))
 
 
 class TestDagger:
     def test_scalar_conjugate(self):
-        np.testing.assert_array_equal(dagger([[1j]]), [[-1j]])
+        np.testing.assert_array_equal(np.array([[1j]]).conj().T, [[-1j]])
 
     def test_real_symmetric_fixed(self):
         a = np.array([[1.0, 2.0], [2.0, 5.0]])
-        np.testing.assert_array_equal(dagger(a), a)
+        np.testing.assert_array_equal(a.conj().T, a)
 
     def test_clock_dagger(self):
         w = np.exp(2j * np.pi / 3)
         expected = np.diag([1, w ** -1, w ** -2])
-        np.testing.assert_allclose(dagger(clock_matrix(3, 1)), expected, atol=1e-15)
+        np.testing.assert_allclose(clock_matrix(3, 1).conj().T, expected, atol=1e-15)
 
     def test_involution_and_product_reversal(self):
         a = random_complex_matrix(4, RNG)
         b = random_complex_matrix(4, RNG)
-        np.testing.assert_array_equal(dagger(dagger(a)), a)
-        np.testing.assert_allclose(dagger(a @ b), dagger(b) @ dagger(a), atol=1e-14)
+        np.testing.assert_array_equal(a.conj().T.conj().T, a)
+        np.testing.assert_allclose((a @ b).conj().T, b.conj().T @ a.conj().T, atol=1e-14)
 
 
 class TestTrace:
     def test_identity(self):
         for d in (2, 5, 8):
-            assert trace(np.eye(d)) == d
+            assert np.trace(np.eye(d)) == d
 
     def test_shift_traceless(self):
-        assert trace(shift_matrix(3, 1)) == 0
+        assert np.trace(shift_matrix(3, 1)) == 0
 
     def test_cube_roots_sum_to_zero(self):
         w = np.exp(2j * np.pi / 3)
-        assert abs(trace(np.diag([1, w, w ** 2]))) < 1e-15
+        assert abs(np.trace(np.diag([1, w, w ** 2]))) < 1e-15
 
     def test_linearity_and_cyclicity(self):
         a = random_complex_matrix(4, RNG)
         b = random_complex_matrix(4, RNG)
         alpha, beta = 0.7 - 0.2j, 1.1 + 0.9j
-        assert abs(trace(alpha * a + beta * b) - (alpha * trace(a) + beta * trace(b))) < 1e-12
-        assert abs(trace(a @ b) - trace(b @ a)) < 1e-12
-
-    def test_non_square(self):
-        with pytest.raises(ShapeError):
-            trace(np.ones((2, 3)))
+        assert abs(np.trace(alpha * a + beta * b) - (alpha * np.trace(a) + beta * np.trace(b))) < 1e-12
+        assert abs(np.trace(a @ b) - np.trace(b @ a)) < 1e-12
 
 
 class TestKron:
     def test_identity_blocks(self):
-        np.testing.assert_array_equal(kron(np.eye(2), np.eye(3)), np.eye(6))
+        np.testing.assert_array_equal(np.kron(np.eye(2), np.eye(3)), np.eye(6))
 
     def test_basis_bookkeeping(self):
-        v = kron(basis_ket(2, 0), basis_ket(2, 1))
+        v = np.kron(basis_ket(2, 0), basis_ket(2, 1))
         np.testing.assert_array_equal(v, [0, 1, 0, 0])
 
     def test_system_factor_is_outer(self):
         # X_1 on the left factor sends joint index 0 (sys 0, env 0) to 2 (sys 1, env 0).
-        op = kron(shift_matrix(2, 1), np.eye(2))
+        op = np.kron(shift_matrix(2, 1), np.eye(2))
         v = np.zeros(4)
         v[0] = 1.0
         np.testing.assert_array_equal(op @ v, [0, 0, 1, 0])
@@ -106,7 +92,7 @@ class TestKron:
         a = random_complex_matrix(2, RNG)
         b = random_complex_matrix(3, RNG)
         c = random_complex_matrix(2, RNG)
-        np.testing.assert_allclose(kron(kron(a, b), c), kron(a, kron(b, c)), atol=1e-14)
+        np.testing.assert_allclose(np.kron(np.kron(a, b), c), np.kron(a, np.kron(b, c)), atol=1e-14)
 
 
 class TestPartialTrace:
@@ -114,7 +100,7 @@ class TestPartialTrace:
         rho = random_density(3, RNG)
         env = np.zeros((4, 4), dtype=complex)
         env[0, 0] = 1.0
-        np.testing.assert_allclose(partial_trace_env(kron(rho, env), 3, 4), rho, atol=1e-14)
+        np.testing.assert_allclose(partial_trace_env(np.kron(rho, env), 3, 4), rho, atol=1e-14)
 
     def test_maximally_mixed(self):
         d, dd = 3, 9
@@ -124,12 +110,12 @@ class TestPartialTrace:
     def test_kron_collapses_to_trace(self):
         a = random_complex_matrix(3, RNG)
         b = random_complex_matrix(4, RNG)
-        np.testing.assert_allclose(partial_trace_env(kron(a, b), 3, 4), trace(b) * a, atol=1e-13)
+        np.testing.assert_allclose(partial_trace_env(np.kron(a, b), 3, 4), np.trace(b) * a, atol=1e-13)
 
     def test_trace_preserved(self):
         joint = random_complex_matrix(12, RNG)
         out = partial_trace_env(joint, 3, 4)
-        assert abs(trace(out) - trace(joint)) < 1e-12
+        assert abs(np.trace(out) - np.trace(joint)) < 1e-12
 
     def test_bad_factorization(self):
         with pytest.raises(ShapeError):
@@ -157,7 +143,7 @@ class TestHermitianEigenvalues:
     def test_sum_matches_trace(self):
         g = random_complex_matrix(6, RNG)
         h = g + g.conj().T
-        assert abs(hermitian_eigenvalues(h).sum() - trace(h).real) < 1e-10
+        assert abs(hermitian_eigenvalues(h).sum() - np.trace(h).real) < 1e-10
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValidationError, match="not Hermitian"):
@@ -207,13 +193,13 @@ class TestValidators:
 
     def test_outer_is_rank_one_projector(self):
         v = validate_ket(basis_ket(3, 1))
-        p = outer(v, v)
+        p = np.outer(v, v.conj())
         np.testing.assert_allclose(p @ p, p, atol=1e-15)
-        assert abs(trace(p) - 1) < 1e-15
+        assert abs(np.trace(p) - 1) < 1e-15
 
 
 def composed_density_check(rho, tol=DEFAULT_TOLERANCES):
-    """Reference: the density check composed of ``trace`` and ``hermitian_eigenvalues``."""
+    """Reference: the density check composed of ``np.trace`` and ``hermitian_eigenvalues``."""
     rho = np.asarray(rho, dtype=np.complex128)
     if rho.shape[0] != rho.shape[1]:
         raise ShapeError(f"density matrix must be square, got {rho.shape}")
@@ -223,7 +209,7 @@ def composed_density_check(rho, tol=DEFAULT_TOLERANCES):
     herm_defect = frobenius_distance(rho, rho.conj().T)
     if herm_defect > tol.herm:
         failures.append(f"not Hermitian (defect {herm_defect:.3e} > {tol.herm:.3e})")
-    tr = trace(rho)
+    tr = complex(np.trace(rho))
     if abs(tr - 1.0) > tol.norm:
         failures.append(f"trace {tr!r} is not 1 within {tol.norm:.3e}")
     if not failures:
