@@ -30,9 +30,7 @@ stays the reference, and the tests compare the closed form with it.
 from __future__ import annotations
 
 import weakref
-from contextlib import suppress
 from functools import cached_property
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -50,7 +48,6 @@ from .numerics import (
     matrix_fields,
     matrix_from_object,
     matrix_to_json,
-    parse_complex_pairs,
     parse_json_document,
     require_int_field,
     validate_density_matrix,
@@ -80,10 +77,12 @@ class QuantumChannel:
     The constructor takes Kraus operators, as a sequence of matrices or as one
     (m, d, d) array, and copies them into the read-only (m, d, d) array
     ``stack``; ``kraus`` is the tuple of its (read-only) slices.  It checks
-    shapes only; the factory functions in this module produce trace-preserving
-    channels by construction, and :func:`is_trace_preserving` measures the
-    deficit of any channel, so deliberately incomplete channels can still be
-    represented and examined.
+    shapes and finite entries only; the factory functions in this module
+    produce trace-preserving channels by construction, and
+    :func:`is_trace_preserving` measures the deficit of any channel, so
+    deliberately incomplete channels can still be represented and examined.
+    :func:`weyl_channel` builds its stack fresh and finite, and the channel
+    takes it over without a copy or a second check.
 
     :func:`channel_from_dilation` holds the stochastic matrix ``transition``
     instead (see the module docstring; it is None for a Kraus list).  Its
@@ -113,36 +112,27 @@ class QuantumChannel:
         if not len(ops):
             raise DomainError("a channel needs at least one Kraus operator")
         stack = np.asarray(ops[:n], dtype=np.complex128)  # copies a list only; the array above is fresh
-        self._own(d, stack)  # non-finite entries are reported before a wrong shape further on
+        _require_finite(stack, "Kraus operator")  # non-finite entries are reported before a wrong shape further on
         if n < len(ops):
             raise ShapeError(f"Kraus operators must be {d} x {d}, got {ops[n].shape}")
+        self._hold(d, n, stack)
 
     @classmethod
-    def _fresh(cls, d: int, stack: np.ndarray, finite: bool = False) -> "QuantumChannel":
-        """A Kraus channel that takes over the fresh (m, d, d) complex128 ``stack`` (m >= 1) without copying it."""
+    def _made(cls, d: int, count: int, stack=None, transition=None, build=None) -> "QuantumChannel":
+        """A factory's channel: a fresh, finite (m, d, d) complex128 ``stack``, held without a copy, or the
+        stochastic matrix ``transition`` with ``build()`` returning its Kraus form."""
         ch = cls.__new__(cls)
-        ch._own(d, stack, finite)
+        ch._hold(d, count, stack, transition, build)
         return ch
 
-    def _own(self, d: int, stack: np.ndarray, finite: bool = False) -> None:
-        """Hold ``stack`` as the read-only Kraus stack, rejecting non-finite entries unless it is known ``finite``."""
-        if not finite:
-            _require_finite(stack, "Kraus operator")
-        stack.setflags(write=False)
-        object.__setattr__(self, "stack", stack)
-        self._hold(d, len(stack), None, None)
-
-    @classmethod
-    def _classical(cls, d: int, count: int, transition: np.ndarray, build) -> "QuantumChannel":
-        """A channel held as the stochastic matrix ``transition``; ``build()`` returns its Kraus form."""
-        transition.setflags(write=False)
-        ch = cls.__new__(cls)
-        ch._hold(d, count, transition, build)
-        return ch
-
-    def _hold(self, d: int, count: int, transition, build) -> None:
-        """Set the fields once; the channel cannot be changed afterwards."""
-        vars(self).update(d=d, _count=count, transition=transition, _build=build)  # past __setattr__
+    def _hold(self, d: int, count: int, stack, transition=None, build=None) -> None:
+        """Make the arrays read-only and set the fields once; the channel cannot be changed afterwards."""
+        fields = dict(d=d, _count=count, transition=transition, _build=build)
+        for name, a in (("stack", stack), ("transition", transition)):
+            if a is not None:
+                a.setflags(write=False)
+                fields[name] = a  # a held stack shadows the cached property that builds one
+        vars(self).update(fields)  # past __setattr__
 
     def __setattr__(self, name, value):
         raise AttributeError("QuantumChannel is immutable")
@@ -295,7 +285,8 @@ def weyl_channel(weights, *, tol: Tolerances = DEFAULT_TOLERANCES) -> QuantumCha
     keep = np.sqrt(p * d) >= tol.prune
     if not np.logical_or.reduce(keep, axis=None):
         raise DomainError("all weights prune to zero")
-    return QuantumChannel._fresh(d, _weyl_stack(d, *keep.nonzero(), np.sqrt(p[keep])), finite=True)
+    stack = _weyl_stack(d, *keep.nonzero(), np.sqrt(p[keep]))
+    return QuantumChannel._made(d, len(stack), stack)
 
 
 def channel_from_dilation(g: GammaTable, *, tol: Tolerances = DEFAULT_TOLERANCES) -> QuantumChannel:
@@ -322,7 +313,7 @@ def channel_from_dilation(g: GammaTable, *, tol: Tolerances = DEFAULT_TOLERANCES
     def kraus():
         return _kraus_from_slots(make_isometry(g), tol)
 
-    return QuantumChannel._classical(d, np.count_nonzero(keep), t, kraus)
+    return QuantumChannel._made(d, np.count_nonzero(keep), transition=t, build=kraus)
 
 
 def choi_matrix(ch: QuantumChannel) -> np.ndarray:
@@ -371,17 +362,7 @@ def json_to_channel(text: str, what: str = "channel") -> QuantumChannel:
     raw = doc.get("kraus")
     if not isinstance(raw, list) or not raw:
         raise ParseError(f"{what}: field 'kraus' must be a nonempty list of matrices")
-    ops = None
-    if all(
-        type(x) is dict and type(x.get("rows")) is type(x.get("cols")) is int and x["rows"] == x["cols"] == d
-        and type(x.get("entries")) is list and len(x["entries"]) == d * d
-        for x in raw
-    ):  # well-formed d x d documents: every entry is decoded in one call, and the loop below names a bad one
-        with suppress(ParseError):
-            flat = list(chain.from_iterable(x["entries"] for x in raw))
-            ops = parse_complex_pairs(flat, len(flat), what).reshape(-1, d, d)
-    if ops is None:
-        ops = tuple(matrix_from_object(item, f"{what}: kraus[{idx}]") for idx, item in enumerate(raw))
+    ops = [matrix_from_object(item, f"{what}: kraus[{idx}]") for idx, item in enumerate(raw)]
     try:
         return QuantumChannel(d=d, kraus=ops)
     except (ShapeError, DomainError) as exc:

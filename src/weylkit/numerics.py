@@ -114,12 +114,9 @@ def _hermitian_part(a: np.ndarray, large: bool) -> tuple[float, np.ndarray]:
 
 def _check_weights(p: np.ndarray, tol: Tolerances) -> None:
     """Check that the float64 weights ``p`` are finite, nonnegative and sum to 1 within ``tol.norm``."""
-    lo = np.minimum.reduce(p, axis=None)  # NaN if a weight is NaN
-    if lo >= 0 and np.maximum.reduce(p, axis=None) <= 1:  # the sum of weights in [0, 1] cannot overflow
-        total = float(np.add.reduce(p, axis=None))
-    else:
-        with np.errstate(over="ignore"):  # an overflowing sum is inf, which the sum check reports
-            total = float(np.add.reduce(p, axis=None)) if lo >= 0 else np.nan  # summed only when every weight is >= 0
+    with np.errstate(over="ignore"):  # an overflowing sum is inf, which the sum check reports
+        # summed only when every weight is >= 0; the minimum is NaN if a weight is NaN
+        total = float(np.add.reduce(p, axis=None)) if np.minimum.reduce(p, axis=None) >= 0 else np.nan
     if not abs(total - 1.0) <= tol.norm:  # valid weights pass this one test; the checks below report in order
         if not np.isfinite(p).all():
             raise DomainError("weights must be finite")

@@ -169,9 +169,7 @@ def _checks_for_dim(d, rng, draws, inject_fault):
             for b in range(d):
                 xi = decompose(np.outer(basis_ket(d, a), basis_ket(d, b).conj()))
                 expected = np.zeros((d, d), dtype=np.complex128)
-                l = (a - b) % d
-                for k in range(d):
-                    expected[l, k] = np.exp(-2j * np.pi * ((b * k) % d) / d) / d
+                expected[(a - b) % d] = np.exp(-2j * np.pi * (b * np.arange(d) % d) / d) / d
                 worst = max(worst, float(np.max(np.abs(xi - expected))))
         return worst
 

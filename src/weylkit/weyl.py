@@ -249,8 +249,8 @@ def gram_matrix(basis: WeylBasis) -> np.ndarray:
     Indices run in l-major order.  Equality with ``d * I`` certifies that the
     d**2 elements are linearly independent and hence span the operator space.
     """
-    e = basis.elements
-    return np.einsum("imn,jmn->ij", e.conj(), e)
+    e = basis.elements.reshape(len(basis.elements), -1)
+    return e.conj() @ e.T
 
 
 def commutator_in_basis(x: WeylIndex, y: WeylIndex) -> np.ndarray:
