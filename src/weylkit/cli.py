@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .config import D_MAX, D_MIN, DEFAULT_SEED, DEFAULT_TOLERANCES, replace_tolerance
+from .config import D_MAX, D_MIN, DEFAULT_SEED, DEFAULT_TOLERANCES, JOINT_BYTES_MAX, replace_tolerance
 from .errors import DomainError, ParseError, ShapeError, ValidationError
 from .numerics import (
     format_float,
@@ -200,11 +200,9 @@ def _cmd_dilate(args) -> int:
     _check_d(g.d)
     summary: list[tuple[str, str]] = [("d", str(g.d))]
     if args.density:
-        if g.d > 12:
-            print(
-                f"warning: joint density for d={g.d} has {(g.d ** 3) ** 2} entries",
-                file=sys.stderr,
-            )
+        joint_bytes = 16 * g.d ** 6  # the dense (d**3, d**3) complex joint, refused before the state is read
+        if joint_bytes > JOINT_BYTES_MAX:
+            raise DomainError(f"the joint density for d={g.d} needs {joint_bytes} bytes, over the {JOINT_BYTES_MAX}-byte budget")
         rho = json_to_matrix(_read_text(args.state), "input density")
         joint = evolve_density(rho, g, tol=args.tol)
         _emit(args, joint)

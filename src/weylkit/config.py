@@ -14,10 +14,14 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 
-__all__ = ["Tolerances", "DEFAULT_TOLERANCES", "replace_tolerance", "TOLERANCE_NAMES", "D_MIN", "D_MAX", "DEFAULT_SEED"]
+__all__ = [
+    "Tolerances", "DEFAULT_TOLERANCES", "replace_tolerance", "TOLERANCE_NAMES",
+    "D_MIN", "D_MAX", "DEFAULT_SEED", "JOINT_BYTES_MAX",
+]
 
 D_MIN, D_MAX = 2, 32  # the advertised range of d; the CLI and verify check their arguments against it
 DEFAULT_SEED = 20240528  # the verify suite's seed unless one is given
+JOINT_BYTES_MAX = 16 * 12 ** 6  # the dense (d**3, d**3) complex joint density is built only up to d = 12 (45.6 MiB)
 
 
 @dataclass(frozen=True)

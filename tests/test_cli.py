@@ -330,6 +330,25 @@ class TestVerifyCommand:
         doc = json.loads(res.stdout)
         assert doc["seed"] == 7
 
+    def test_d32_passes_within_1_gib(self):
+        # No check builds the 16 GiB dense joint at d = 32; the child caps its own address space at 1 GiB.
+        child = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))\n"
+            "from weylkit.cli import main\n"
+            "main(sys.argv[1:])\n"
+        )
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        res = subprocess.run(
+            [sys.executable, "-c", child, "verify", "--d", "32", "--draws", "2"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=300,
+        )
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout)["overall"] == "pass"
+
 
 class TestDeterminism:
     def test_identical_invocations_byte_identical(self, tmp_path):
@@ -458,14 +477,16 @@ class TestOutputFailures:
             assert "Traceback" not in res.stderr
 
     def test_out_of_memory_exits_4(self, tmp_path):
-        # The d = 24 joint density needs 2.85 GiB; the child caps its own
-        # address space at 1.5 GiB, so the allocation fails without using it.
-        d = 24
+        # The d = 12 joint density (45.6 MiB, the largest dilate --density
+        # builds) and its JSON text do not fit once the child caps its own
+        # address space at 200 MiB.  Start-up fits in 140 MiB, and the command
+        # runs to completion from 270 MiB, so 200 MiB leaves margin both ways.
+        d = 12
         gamma = write(tmp_path / "g.json", gamma_to_json(GammaTable.uniform(d)))
         rho = write(tmp_path / "rho.json", matrix_to_json(np.eye(d) / d))
         child = (
             "import resource, sys\n"
-            "limit = 1536 * 2 ** 20\n"
+            "limit = 200 * 2 ** 20\n"
             "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
             "from weylkit.cli import main\n"
             "main(sys.argv[1:])\n"

@@ -2,11 +2,13 @@
 
 Kept below as oracles: the eigvalsh form of the density-matrix check, the
 Weyl-weight checks one at a time, ``np.linalg.norm``, the kron sum of the
-Weyl regrouping and the Kraus sum ``sum_m E_m E_m^dagger``.  Where the
+Weyl regrouping, the traced dense joint that verify's regrouped output
+replaces above d = 12, and the Kraus sum ``sum_m E_m E_m^dagger``.  Where the
 arithmetic is unchanged the results must match byte for byte, and error
 checks must raise the same class with the same message.  The last part
 covers one check per state: the density check from a diagonal vector, its
-overflow guard, and ``apply_channel``'s record of the state it last returned.
+overflow guard, and ``apply_channel`` checking its input and its output once
+per call.
 """
 
 import re
@@ -35,10 +37,11 @@ from weylkit import (
     weyl_channel,
 )
 from weylkit.config import replace_tolerance
-from weylkit.dilation import _weyl_form_arrays, _weyl_form_index
+from weylkit.dilation import _weyl_form_arrays, _weyl_form_index, evolve_density
 from weylkit.errors import DomainError, ShapeError, ValidationError
-from weylkit.numerics import _norm, validate_density_matrix
+from weylkit.numerics import _norm, partial_trace_env, validate_density_matrix
 from weylkit.rand import random_density, random_gamma, random_ket
+from weylkit.verify import _regrouped_output
 from weylkit.weyl import _MEMO_DIMS, dim_constants
 
 DIMS = range(2, 33)
@@ -148,6 +151,22 @@ def test_weyl_form_kernel_reassembles_the_joint(d):
     direct = make_isometry(g) @ psi
     np.testing.assert_allclose((sys_.T @ env).ravel() / d, kron_sum, rtol=0, atol=1e-13)
     np.testing.assert_allclose(kron_sum, direct, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8, 12])
+def test_regrouped_output_is_the_traced_dense_joint(d):
+    rng = _rng(d)
+    g, rho = random_gamma(d, rng), random_density(d, rng)
+    via_trace = partial_trace_env(evolve_density(rho, g), d, d * d)
+    np.testing.assert_allclose(_regrouped_output(rho, g), via_trace, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("d", [16, 32])
+def test_regrouped_output_is_the_channel_output_past_the_dense_joint(d):
+    rng = _rng(d)
+    g, rho = random_gamma(d, rng), random_density(d, rng)
+    out = apply_channel(channel_from_dilation(g), rho)
+    np.testing.assert_allclose(_regrouped_output(rho, g), out, rtol=0, atol=1e-15)
 
 
 def test_weyl_form_index_memo_is_bounded_and_read_only():
@@ -401,16 +420,16 @@ def _weights(d, rng):
 
 
 class TestOneCheckPerState:
-    def test_own_unmodified_output_is_not_checked_again(self, counted_checks):
+    def test_every_call_checks_its_input_and_output_once(self, counted_checks):
         rng = _rng(3)
         dil, wey = channel_from_dilation(random_gamma(3, rng)), weyl_channel(_weights(3, rng))
         rho = random_density(3, rng)
+        names = dict(vars(channels_module))
         out1 = apply_channel(dil, rho)
-        assert len(counted_checks) == 1 and counted_checks[0] is rho  # the dilation output is checked in closed form
         out2 = apply_channel(wey, out1)
-        assert [x is out2 for x in counted_checks[1:]] == [True]
-        apply_channel(dil, out2)
-        assert len(counted_checks) == 2
+        out3 = apply_channel(dil, out2)
+        assert list(map(id, counted_checks)) == list(map(id, (rho, out1, out1, out2, out2, out3)))
+        assert vars(channels_module).items() == names.items()  # the module keeps no record between calls
 
     @pytest.mark.parametrize(
         "change",
@@ -483,14 +502,6 @@ class TestOneCheckPerState:
         with pytest.raises(ShapeError, match="^expected a 2-d matrix, got array of rank 0$"):
             apply_channel(dil, None)
 
-    def test_record_holds_at_most_16_kib(self):
-        rng = _rng(33)
-        for d in (32, 33):
-            out = apply_channel(weyl_channel(_weights(d, rng)), np.eye(d) / d)
-            ref, shape, dtype, data, _ = channels_module._last_output
-            assert len(data) <= 16 * 1024
-            assert (ref() is out) == (d == 32)
-
     @pytest.mark.parametrize("d", [2, 5, 8, 32])
     def test_chained_dilation_then_weyl_calls_eigvalsh_for_the_dense_input_only(self, d, monkeypatch):
         rng = _rng(d)
@@ -510,6 +521,7 @@ def _overflow_documents(tmp_path):
     (tmp_path / "g.json").write_text(gamma_to_json(GammaTable.uniform(2)))
     (tmp_path / "wc.json").write_text(matrix_to_json(np.full((2, 2), 0.25 + 0.5j)))
     (tmp_path / "psi3.json").write_text(vector_to_json(np.eye(3)[0]))
+    (tmp_path / "g13.json").write_text(gamma_to_json(GammaTable.uniform(13)))
     return tmp_path
 
 
@@ -529,8 +541,13 @@ def _overflow_documents(tmp_path):
             2,
             "error: state dimension 3 does not match gamma dimension 2",
         ),
+        (  # refused before the state file, which does not exist, is read
+            ["dilate", "--gamma", "g13.json", "--state", "missing.json", "--density"],
+            3,
+            "error: the joint density for d=13 needs 77228944 bytes, over the 47775744-byte budget",
+        ),
     ],
-    ids=["decompose", "reconstruct", "channel", "complex_weights", "dilate_state_size"],
+    ids=["decompose", "reconstruct", "channel", "complex_weights", "dilate_state_size", "dilate_density_budget"],
 )
 def test_cli_overflow_is_one_error_line(tmp_path, argv, code, line):
     res = subprocess.run(

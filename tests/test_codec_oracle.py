@@ -4,8 +4,9 @@
 reads every pair in a loop; both are kept verbatim as oracles.  The writer
 must give the same bytes or the same ``ValidationError`` text, and the reader
 the same array or the same ``ParseError`` text, entry index included.  The
-channel reader is checked the same way against ``ref_json_to_channel``, which
-decodes one operator at a time.
+channel reader is checked against fixed outcomes: the message the reader that
+decoded one operator at a time gave for each malformed document, and for a
+valid one the stack read from the document with ``json`` and numpy alone.
 """
 
 import cmath
@@ -15,10 +16,7 @@ import numpy as np
 import pytest
 
 from weylkit import (
-    DomainError,
     ParseError,
-    QuantumChannel,
-    ShapeError,
     ValidationError,
     channel_from_dilation,
     channel_to_json,
@@ -27,14 +25,7 @@ from weylkit import (
     weyl_basis,
     weyl_channel,
 )
-from weylkit.numerics import (
-    format_complex_pairs,
-    format_float,
-    matrix_from_object,
-    parse_complex_pairs,
-    parse_json_document,
-    require_int_field,
-)
+from weylkit.numerics import format_complex_pairs, format_float, parse_complex_pairs
 from weylkit.rand import random_gamma
 
 EXTREMES = (0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 1.0, -3.0, 2.0**60)
@@ -191,18 +182,34 @@ def test_reader_result_is_writable():
 # channel documents
 
 
-def ref_json_to_channel(text, what="channel"):
-    """The reader that decodes each Kraus matrix on its own."""
-    doc = parse_json_document(text, what)
-    d = require_int_field(doc, "d", what, minimum=2)
-    raw = doc.get("kraus")
-    if not isinstance(raw, list) or not raw:
-        raise ParseError(f"{what}: field 'kraus' must be a nonempty list of matrices")
-    ops = [matrix_from_object(item, f"{what}: kraus[{idx}]") for idx, item in enumerate(raw)]
-    try:
-        return QuantumChannel(d=d, kraus=tuple(ops))
-    except (ShapeError, DomainError) as exc:
-        raise ParseError(f"{what}: {exc}") from None
+def _stack_of(text):
+    """The Kraus stack of a well-formed channel document, read with json and numpy alone."""
+    doc = json.loads(text)
+    pairs = np.array([op["entries"] for op in doc["kraus"]], dtype=np.float64)
+    stack = np.empty(pairs.shape[:-1], dtype=np.complex128)
+    stack.real, stack.imag = pairs[..., 0], pairs[..., 1]
+    return stack.reshape(len(stack), doc["d"], doc["d"])
+
+
+PAIR = "is not a [re, im] number pair"
+CHANNEL_CASES = {  # case name: the ParseError message, or None for a valid document
+    "valid": None,
+    "ints": None,
+    "entry_string": f"channel: kraus[4]: entry 5 {PAIR}",
+    "entry_short": f"channel: kraus[4]: entry 5 {PAIR}",
+    "entry_bool": f"channel: kraus[4]: entry 5 {PAIR}",
+    "entry_nan": "channel: kraus[4]: entry 5 is not finite",
+    "entry_huge_int": "channel: kraus[2]: entry 0 is out of the float range",
+    "rows_3.0": "channel: kraus[1]: field 'rows' must be a positive integer, got 3.0",
+    "rows_True": "channel: kraus[1]: field 'rows' must be a positive integer, got True",
+    "cols_0": "channel: kraus[1]: field 'cols' must be a positive integer, got 0",
+    "rows_'3'": "channel: kraus[1]: field 'rows' must be a positive integer, got '3'",
+    "missing_entries": "channel: kraus[3]: expected 9 [re, im] pairs, got NoneType",
+    "item_list": "channel: kraus[2]: expected a matrix object, got list",
+    "other_shape": "channel: Kraus operators must be 3 x 3, got (2, 2)",
+    "long_and_short": "channel: kraus[0]: expected 9 [re, im] pairs, got 10",
+    "non_square": "channel: Kraus operators must be 3 x 3, got (1, 9)",
+}
 
 
 def _channel_cases():
@@ -231,13 +238,13 @@ def _channel_cases():
 
 @pytest.mark.parametrize("name, text", list(_channel_cases()), ids=[name for name, _ in _channel_cases()])
 def test_channel_reader_matches_the_per_operator_reader(name, text):
-    want = _outcome(ref_json_to_channel, text)
+    want = CHANNEL_CASES[name]
     got = _outcome(json_to_channel, text)
-    assert got[0] == want[0]
-    if want[0] == "ok":
-        assert got[1].d == want[1].d and got[1].stack.tobytes() == want[1].stack.tobytes()
+    if want is None:
+        assert got[0] == "ok" and got[1].d == 3
+        assert got[1].stack.tobytes() == _stack_of(text).tobytes()
     else:
-        assert got[1] == want[1]
+        assert got == ("ParseError", want)
 
 
 def test_channel_reader_names_the_bad_operator():
