@@ -27,7 +27,6 @@ _EXPORTS = {
         "choi_to_json",
         "is_trace_preserving",
         "json_to_channel",
-        "kraus_from_isometry",
         "kraus_mix",
         "unitality_deficit",
         "weyl_channel",
@@ -36,9 +35,7 @@ _EXPORTS = {
     "dilation": (
         "GammaTable",
         "WeylFormTerm",
-        "ensemble_to_density",
         "env_gram",
-        "env_index",
         "evolve_density",
         "evolve_pure",
         "gamma_to_json",
@@ -50,7 +47,6 @@ _EXPORTS = {
     "numerics": (
         "basis_ket",
         "frobenius_distance",
-        "hermitian_eigenvalues",
         "json_to_matrix",
         "json_to_vector",
         "matrix_to_json",

@@ -54,7 +54,6 @@ from .weyl import _weyl_stack, dim_constants
 
 __all__ = [
     "QuantumChannel",
-    "kraus_from_isometry",
     "apply_channel",
     "is_trace_preserving",
     "unitality_deficit",
@@ -118,7 +117,7 @@ class QuantumChannel:
     @classmethod
     def _made(cls, d: int, count: int, stack=None, transition=None, build=None) -> "QuantumChannel":
         """A factory's channel: a fresh, finite (m, d, d) complex128 ``stack``, held without a copy, or the
-        stochastic matrix ``transition`` with ``build()`` returning its Kraus form."""
+        stochastic matrix ``transition`` with ``build()`` returning such a stack of its Kraus form."""
         ch = cls.__new__(cls)
         ch._hold(d, count, stack, transition, build)
         return ch
@@ -140,7 +139,9 @@ class QuantumChannel:
 
     @cached_property
     def stack(self) -> np.ndarray:
-        return self._build().stack
+        stack = self._build()
+        stack.setflags(write=False)
+        return stack
 
     @cached_property
     def kraus(self) -> tuple:
@@ -151,39 +152,6 @@ class QuantumChannel:
 
     def __repr__(self) -> str:
         return f"QuantumChannel(d={self.d})"
-
-
-def kraus_from_isometry(v, *, tol: Tolerances = DEFAULT_TOLERANCES) -> QuantumChannel:
-    """Extract the Kraus operators of the channel dilated by isometry ``v``.
-
-    ``v`` must be a (d**3, d) matrix with ``v^dagger v = I`` within
-    ``tol.norm``.  Slot m of the d**2 environment indices yields
-    ``E_m[r, c] = v[r * d**2 + m, c]``; operators with Frobenius norm below
-    ``tol.prune`` (exact zeros for sparse gamma tables) are dropped, which
-    cannot change the map.  Trace preservation holds by construction:
-    ``sum_m E_m^dagger E_m = v^dagger v = I``.
-    """
-    v = as_matrix(v)
-    d = v.shape[1]
-    if d < 2 or v.shape[0] != d ** 3:
-        raise ShapeError(f"expected a (d**3, d) isometry with d >= 2, got {v.shape}")
-    gram_defect = frobenius_distance(v.conj().T @ v, np.eye(d))
-    if not gram_defect <= tol.norm:
-        raise ValidationError(
-            f"input is not an isometry: ||V^dagger V - I||_F = {gram_defect:.3e} "
-            f"exceeds {tol.norm:.3e}"
-        )
-    return _kraus_from_slots(v, tol)
-
-
-def _kraus_from_slots(v: np.ndarray, tol: Tolerances) -> QuantumChannel:
-    """Slice a (d**3, d) matrix into its d**2 environment slots and prune the zero ones."""
-    d = v.shape[1]
-    ops = v.reshape(d, d * d, d).transpose(1, 0, 2)  # [m, r, c]
-    keep = np.linalg.norm(ops, axis=(1, 2)) >= tol.prune
-    if not keep.any():
-        keep[0] = True
-    return QuantumChannel(d=d, kraus=ops[keep])
 
 
 def _dagger(stack: np.ndarray) -> np.ndarray:
@@ -279,20 +247,23 @@ def channel_from_dilation(g: GammaTable, *, tol: Tolerances = DEFAULT_TOLERANCES
     mod d), so the channel is held as the stochastic matrix
     ``T[a - 2b, -b] = |gamma[a, b]|**2``; the Kraus list, sliced from
     ``make_isometry(g)`` with the slots below ``tol.prune`` dropped, is built
-    when first read.
+    when first read.  ``T``, ``len(ch)`` and the Kraus list drop the same
+    slots; if every slot is dropped, DomainError is raised.
 
     ``V^dagger V`` is diag(column masses of ``g``), each within ``tol.norm`` of 1;
     its Frobenius defect can reach ``sqrt(d) * tol.norm``, so it is not checked again.
     """
     d = g.d
-    mass = (g.gamma.conj() * g.gamma).real  # the squared norm of slot (a, b), as the Kraus slicing computes it
-    keep = np.sqrt(mass) >= tol.prune
+    mass = (g.gamma.conj() * g.gamma).real  # the squared norm of slot (a, b)
+    keep = np.sqrt(mass) >= tol.prune  # one mask for T, len(ch) and the Kraus list
+    if not keep.any():
+        raise DomainError("all slots prune to zero")
     c = dim_constants(d)  # T[l - z, -z] = mass[z + l, z]: T at flat[l, n] reads mass at flat[l, -n]
     t = np.empty((d, d))
     t.reshape(-1)[c.flat] = (mass * keep).reshape(-1)[c.flat_neg]
 
-    def kraus():
-        return _kraus_from_slots(make_isometry(g), tol)
+    def kraus():  # E_m[r, c] = V[r * d**2 + m, c]; slot m = a * d + b is kept where keep[a, b]
+        return make_isometry(g).reshape(d, d * d, d).transpose(1, 0, 2)[keep.reshape(-1)]
 
     return QuantumChannel._made(d, np.count_nonzero(keep), transition=t, build=kraus)
 
@@ -351,7 +322,11 @@ def json_to_channel(text: str, what: str = "channel") -> QuantumChannel:
 
 
 def choi_to_json(j) -> str:
-    """Serialize a Choi matrix in the matrix format plus a convention header."""
+    """Serialize a Choi matrix in the matrix format plus a convention header.
+
+    Entry ``J[r*d + c, r'*d + c']`` is ``Channel(|c><c'|)[r, r']``: the output
+    index is the outer one.
+    """
     return json_object([("convention", '"column-stacking"'), *matrix_fields(j)])
 
 

@@ -14,12 +14,15 @@ Exit codes: 0 success, 1 verification failure, 2 usage or parse error
 (including a malformed ``--tol``, which every command checks, an input file
 that is not UTF-8, a JSON number beyond the float range or the int digit
 limit, and an ``--out`` path that cannot be written), 3
-domain-validation error, 4 out of memory.  Library functions validate their
-inputs; the commands do not repeat those checks.  JSON artifacts and
-summaries are built with ``numerics.json_object``, except the multi-line
-verify report.  Input and output paths accept ``-`` for the standard streams.  Output artifacts are byte-deterministic for identical
-inputs (the verify report's wall-time fields are measured and therefore
-excluded from that guarantee).
+domain-validation error, 4 out of memory.  A failure while numpy loads is
+outside these codes: under an address-space cap of about 130 MiB or less,
+OpenBLAS fails during the import and the process exits 1 with no ``error:``
+line.  Library functions validate their inputs; the commands do not repeat
+those checks.  JSON artifacts and summaries are built with
+``numerics.json_object``, except the multi-line verify report.  Input and
+output paths accept ``-`` for the standard streams.  Output artifacts are
+byte-deterministic for identical inputs (the verify report's wall-time
+fields are measured and therefore excluded from that guarantee).
 """
 
 from __future__ import annotations
@@ -318,8 +321,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         "--tol",
         action="append",
         metavar="NAME=VALUE",
-        help="override a named tolerance (norm, herm, psd, cptp, prune; jacobi is accepted "
-        "and ignored); repeatable",
+        help="override a named tolerance (norm, herm, psd, cptp, prune); repeatable",
     )
     p.add_argument(
         "--format",

@@ -59,19 +59,10 @@ TOLERANCE_NAMES = tuple(f.name for f in dataclasses.fields(Tolerances))
 
 
 def replace_tolerance(tol: Tolerances, name: str, value: float) -> Tolerances:
-    """Return a copy of ``tol`` with the named tolerance replaced.
-
-    Accepts the short field names (``norm``) as well as the conventional
-    upper-case spelling (``NORM_TOL``), case-insensitively.  ``jacobi``, the
-    threshold of a former built-in eigensolver, is accepted by name only:
-    ``tol`` comes back unchanged, so existing settings keep working.
-    """
-    key = name.strip().lower()
-    if key.endswith("_tol"):
-        key = key[: -len("_tol")]
-    if key not in TOLERANCE_NAMES and key != "jacobi":
+    """Return a copy of ``tol`` with the tolerance ``name``, one of ``TOLERANCE_NAMES``, replaced."""
+    if name not in TOLERANCE_NAMES:
         known = ", ".join(TOLERANCE_NAMES)
         raise DomainError(f"unknown tolerance {name!r}; known names: {known}")
     if not value > 0:
         raise DomainError(f"tolerance {name!r} must be positive, got {value}")
-    return tol if key == "jacobi" else dataclasses.replace(tol, **{key: value})
+    return dataclasses.replace(tol, **{name: value})

@@ -48,7 +48,6 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import DomainError, ShapeError, ValidationError
 from .numerics import (
-    _check_weights,
     _require_finite,
     as_matrix,
     format_complex_pairs,
@@ -63,20 +62,13 @@ __all__ = [
     "GammaTable",
     "gamma_to_json",
     "json_to_gamma",
-    "env_index",
     "make_isometry",
     "evolve_pure",
     "WeylFormTerm",
     "weyl_form_of_joint",
     "env_gram",
     "evolve_density",
-    "ensemble_to_density",
 ]
-
-
-def env_index(d: int, a: int, b: int) -> int:
-    """Linear position of the environment basis vector ``|e_{a, b}>``."""
-    return (a % d) * d + (b % d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,9 +143,10 @@ def json_to_gamma(text: str, *, tol: Tolerances = DEFAULT_TOLERANCES, what: str 
 def make_isometry(g: GammaTable) -> np.ndarray:
     """The (d**3, d) interaction isometry ``V`` with ``V^dagger V = I``.
 
-    Column i carries gamma[a, -i] at joint row
-    ``((2i + a) % d) * d**2 + env_index(d, a, -i)`` for each a; the system
-    factor occupies the outer (slow) index.
+    Column i carries gamma[a, -i] at joint row ``((2i + a) % d) * d**2 + m``
+    for each a, where ``m = (a % d) * d + b % d`` with ``b = -i`` is the
+    linear position of the environment basis vector ``|e_{a, b}>``; the
+    system factor occupies the outer (slow) index.
     """
     d = g.d
     v = np.zeros((d ** 3, d), dtype=np.complex128)
@@ -244,28 +237,3 @@ def evolve_density(rho, g: GammaTable, *, tol: Tolerances = DEFAULT_TOLERANCES) 
         raise ShapeError(f"density dimension {rho.shape[0]} does not match gamma dimension {g.d}")
     v = make_isometry(g)
     return v @ rho @ v.conj().T
-
-
-def ensemble_to_density(weights, states, *, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Convex combination ``sum_s p_s * A_s`` of coefficient matrices.
-
-    ``weights`` must be nonnegative and sum to 1 within ``tol.norm``; each
-    state is a d x d matrix of ``|i><j|`` coefficients.  The result is
-    validated as a density matrix, so inconsistent coefficient input
-    (non-Hermitian, wrong trace, indefinite) is rejected.
-    """
-    p = np.asarray(weights, dtype=np.float64)
-    if p.ndim != 1 or p.size == 0:
-        raise DomainError(f"weights must be a nonempty 1-d sequence, got shape {p.shape}")
-    _check_weights(p, tol)
-    mats = [as_matrix(s) for s in states]
-    if len(mats) != p.size:
-        raise ShapeError(f"{p.size} weights but {len(mats)} states")
-    d = mats[0].shape[0]
-    for s in mats:
-        if s.shape != (d, d):
-            raise ShapeError(f"every state must be {d} x {d}, got {s.shape}")
-    rho = np.zeros((d, d), dtype=np.complex128)
-    for w, s in zip(p, mats):
-        rho += w * s
-    return validate_density_matrix(rho, tol=tol)

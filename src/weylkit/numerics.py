@@ -5,9 +5,9 @@ dtype ``complex128``: operators and isometries are 2-d arrays, state vectors
 are 1-d arrays; products, conjugate transposes, traces and Kronecker
 products are numpy's own.  This module supplies the partial trace and the
 Frobenius distance, the one copy of each input check (finite entries, weight
-tables, kets, density matrices), Hermitian eigenvalues, the JSON matrix file
-format, and the JSON syntax every file format is written and read with
-(``json_object``, ``json_to_table``).
+tables, kets, density matrices), the JSON matrix file format, and the JSON
+syntax every file format is written and read with (``json_object``,
+``json_to_table``).
 
 A diagonal density matrix is checked through its diagonal vector, and
 ``diag.real.min()`` is its smallest eigenvalue, bit for bit.  Entries large
@@ -48,7 +48,6 @@ __all__ = [
     "as_matrix",
     "as_vector",
     "partial_trace_env",
-    "hermitian_eigenvalues",
     "frobenius_distance",
     "basis_ket",
     "validate_ket",
@@ -90,26 +89,6 @@ def _require_finite(a: np.ndarray, what: str) -> None:
 # Squared entries summing to at most this bound every entry by 1e150, so no sum,
 # difference or product in the Hermitian and density-matrix checks can overflow.
 _SAFE_SQUARES = 1e300
-
-
-def _large(x: np.ndarray, what: str) -> bool:
-    """Whether the entries of ``x`` fail one sum of squares against ``_SAFE_SQUARES``; non-finite ones raise."""
-    if np.vdot(x, x).real <= _SAFE_SQUARES:
-        return False
-    _require_finite(x, what)
-    return True
-
-
-def _hermitian_part(a: np.ndarray, large: bool) -> tuple[float, np.ndarray]:
-    """``||a - a^H||_F`` and the Hermitian part ``(a + a^H) / 2`` of a finite square ``a``.
-
-    For ``large`` entries the halves are formed first, so the part cannot overflow; the defect may then be inf.
-    """
-    a_h = a.conj().T
-    if not large:
-        return _norm(a - a_h), (a + a_h) / 2.0
-    with np.errstate(all="ignore"):
-        return _norm(a - a_h), a / 2.0 + a_h / 2.0
 
 
 def _check_weights(p: np.ndarray, tol: Tolerances) -> None:
@@ -162,35 +141,6 @@ def frobenius_distance(a, b) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Hermitian eigenvalues
-
-
-def hermitian_eigenvalues(a, *, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
-    """Real spectrum of a Hermitian matrix, ascending.
-
-    The input is checked to be square, finite and Hermitian within
-    ``tol.herm``; the spectrum of its Hermitian part then comes from LAPACK
-    through ``numpy.linalg.eigvalsh``.  Entries up to the float limit are
-    accepted: the Hermitian part is then formed from halves.
-
-    Raises
-    ------
-    ValidationError
-        If the input is not finite, or not Hermitian within ``tol.herm``.
-    """
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ShapeError(f"eigenvalues require a square matrix, got {a.shape}")
-    defect, herm = _hermitian_part(a, _large(a, "matrix"))
-    if defect > tol.herm:
-        raise ValidationError(
-            f"matrix is not Hermitian: ||A - A^dagger||_F = {defect:.3e} "
-            f"exceeds {tol.herm:.3e}"
-        )
-    return np.linalg.eigvalsh(herm)
-
-
-# ---------------------------------------------------------------------------
 # structural validators
 
 
@@ -235,12 +185,16 @@ def _check_density(rho: np.ndarray, diag, tol: Tolerances, large: bool = False) 
     A diagonal state's Hermitian defect is 0.0 when every imaginary part of ``diag`` is zero.  Entries that fail
     one sum of squares (not finite, or large enough to overflow) are checked under ``np.errstate``.
     """
-    if not large and _large(rho if diag is None else diag, "density matrix"):
+    x = rho if diag is None else diag
+    if not large and not np.vdot(x, x).real <= _SAFE_SQUARES:
+        _require_finite(x, "density matrix")
         with np.errstate(all="ignore"):
             return _check_density(rho, diag, tol, large=True)
     failures = []
     if diag is None:
-        herm_defect, herm = _hermitian_part(rho, large)
+        rho_h = rho.conj().T
+        herm_defect = _norm(rho - rho_h)
+        herm = rho / 2.0 + rho_h / 2.0 if large else (rho + rho_h) / 2.0  # halves first, so large entries cannot overflow
         tr = complex(rho.trace())
     else:
         herm_defect = _norm(rho - rho.conj().T) if np.logical_or.reduce(diag.imag) else 0.0

@@ -7,6 +7,7 @@ from weylkit import (
     GammaTable,
     QuantumChannel,
     ShapeError,
+    Tolerances,
     ValidationError,
     apply_channel,
     basis_ket,
@@ -16,11 +17,9 @@ from weylkit import (
     evolve_density,
     frobenius_distance,
     is_trace_preserving,
-    kraus_from_isometry,
     kraus_mix,
     make_isometry,
     partial_trace_env,
-    replace_tolerance,
     shift_matrix,
     unitality_deficit,
     weyl_channel,
@@ -62,42 +61,43 @@ class TestKrausFromIsometry:
 
     def test_completeness_by_construction(self):
         for d in (2, 3, 5):
-            ch = kraus_from_isometry(make_isometry(random_gamma(d, RNG)))
+            ch = channel_from_dilation(random_gamma(d, RNG))
             acc = sum(e.conj().T @ e for e in ch.kraus)
             assert frobenius_distance(acc, np.eye(d)) < 1e-10
 
     def test_top_row_gamma_resets_to_zero_ket(self):
         # gamma[a, b] = delta(a, 0) at d=2 extracts {|0><0|, |0><1|}: the
         # channel sends every state to |0><0|.
-        ch = kraus_from_isometry(make_isometry(reset_gamma(2)))
+        ch = channel_from_dilation(reset_gamma(2))
         assert len(ch) == 2
         kraus_set = {tuple(np.round(e, 12).ravel()) for e in ch.kraus}
         expected = {(1 + 0j, 0j, 0j, 0j), (0j, 1 + 0j, 0j, 0j)}
         assert kraus_set == expected
-        out = apply_channel(ch, random_density(2, RNG))
+        out = apply_channel(QuantumChannel(d=2, kraus=ch.stack), random_density(2, RNG))
         np.testing.assert_allclose(out, [[1, 0], [0, 0]], atol=1e-12)
 
     def test_prunes_zero_slots(self):
         d = 3
-        ch = kraus_from_isometry(make_isometry(reset_gamma(d)))
-        assert len(ch) == d  # d nonzero entries out of d**2 slots
+        ch = channel_from_dilation(reset_gamma(d))
+        assert len(ch) == len(ch.stack) == d  # d nonzero entries out of d**2 slots
 
     def test_rejects_non_isometry(self):
-        v = np.zeros((8, 2), dtype=complex)
-        v[0, 0] = 1.0
-        v[1, 1] = 0.5
-        with pytest.raises(ValidationError, match=r"V\^dagger V - I"):
-            kraus_from_isometry(v)
+        # V^dagger V is diag(column masses of gamma), so the table's column
+        # check is the isometry check on the only path to a Kraus list.
+        g = np.zeros((2, 2), dtype=complex)
+        g[0, 0] = 1.0
+        g[0, 1] = 0.5
+        with pytest.raises(ValidationError, match="column 1: mass 0.25"):
+            channel_from_dilation(GammaTable(g))
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_entry(self, bad):
-        # A non-finite entry in an all-zero row would otherwise sit in a slot
-        # that pruning drops, leaving an incomplete Kraus list.
-        v = make_isometry(GammaTable.uniform(3)).copy()
-        v[np.flatnonzero(~v.any(axis=1))[0], 0] = bad
-        with pytest.raises(ValidationError, match="not an isometry"):
-            kraus_from_isometry(v)
+        # The table refuses it before any channel exists; a NaN slot would
+        # otherwise fail the prune test and drop out of the Kraus list unseen.
+        g = np.full((3, 3), 1 / np.sqrt(3), dtype=complex)
+        g[0, 0] = bad
+        with pytest.raises(ValidationError, match="non-finite"):
+            channel_from_dilation(GammaTable(g))
 
 
 class TestApplyChannel:
@@ -237,6 +237,11 @@ class TestChannelFromDilation:
         assert frobenius_distance(choi_matrix(ch), choi_matrix(wch)) < 1e-9
         assert channels_equal(ch, wch, 1e-9)
 
+    def test_all_slots_pruned_is_rejected(self):
+        # Every slot of the uniform d = 3 table has norm 1/sqrt(3) = 0.577.
+        with pytest.raises(DomainError, match="^all slots prune to zero$"):
+            channel_from_dilation(GammaTable.uniform(3), tol=Tolerances(prune=10.0))
+
     def test_accepts_gamma_within_column_tolerance(self):
         # V^dagger V is diag(column masses): each mass is within tol.norm of 1,
         # but the Frobenius defect of the whole diagonal is 1.8e-10 > 1e-10.
@@ -245,11 +250,7 @@ class TestChannelFromDilation:
         ch = channel_from_dilation(g)
         ok, deficit = is_trace_preserving(ch)
         assert ok and deficit < DEFAULT_TOLERANCES.cptp
-        loose = replace_tolerance(DEFAULT_TOLERANCES, "norm", 1e-9)
-        np.testing.assert_array_equal(ch.stack, kraus_from_isometry(make_isometry(g), tol=loose).stack)
-        # An isometry from outside is still checked.
-        with pytest.raises(ValidationError, match="not an isometry"):
-            kraus_from_isometry(make_isometry(g))
+        np.testing.assert_array_equal(ch.stack, make_isometry(g).reshape(d, d * d, d).transpose(1, 0, 2))
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_matches_partial_trace_oracle(self, d):

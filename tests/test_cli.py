@@ -293,6 +293,13 @@ class TestChoiCommand:
         assert res.returncode == 3
         assert res.stderr.splitlines() == [line]
 
+    def test_all_pruned_dilation_gives_one_error_line(self, tmp_path):
+        # Every slot of the uniform d = 3 table has norm 0.577, below the prune threshold.
+        gamma = write(tmp_path / "g.json", gamma_to_json(GammaTable.uniform(3)))
+        res = run_cli("choi", "--gamma", gamma, "--tol", "prune=10")
+        assert (res.returncode, res.stdout) == (3, "")
+        assert res.stderr.splitlines() == ["error: all slots prune to zero"]
+
 
 class TestVerifyCommand:
     def test_verify_passes(self):
@@ -376,15 +383,6 @@ class TestDeterminism:
         rho_in = write(tmp_path / "rho.json", matrix_to_json(np.eye(2) / 2))
         res = run_cli("channel", "--gamma", gamma, "--rho", rho_in, "--tol", "bogus=1")
         assert res.returncode == 2
-
-    def test_jacobi_tolerance_is_accepted_and_ignored(self, tmp_path):
-        gamma = write(tmp_path / "g.json", gamma_to_json(GammaTable.uniform(2)))
-        rho_in = write(tmp_path / "rho.json", matrix_to_json(np.eye(2) / 2))
-        plain = run_cli("channel", "--gamma", gamma, "--rho", rho_in)
-        for value in ("1e-12", "0.5"):
-            res = run_cli("channel", "--gamma", gamma, "--rho", rho_in, "--tol", f"jacobi={value}")
-            assert res.returncode == 0
-            assert (res.stdout, res.stderr) == (plain.stdout, plain.stderr)
 
 
 def run_quiet(*args):

@@ -2,14 +2,11 @@ import numpy as np
 import pytest
 
 from weylkit import (
-    DomainError,
     GammaTable,
     ShapeError,
     ValidationError,
     basis_ket,
-    ensemble_to_density,
     env_gram,
-    env_index,
     evolve_density,
     evolve_pure,
     frobenius_distance,
@@ -22,6 +19,16 @@ from weylkit import (
 from weylkit.rand import random_density, random_gamma, random_ket, random_uniform_gamma
 
 RNG = np.random.default_rng(4242)
+
+
+def env_index(d, a, b):
+    """Linear position of the environment basis vector ``|e_{a, b}>``."""
+    return (a % d) * d + b % d
+
+
+def mixture(weights, states):
+    """The convex combination ``sum_s p_s * A_s`` of coefficient matrices, checked as a density matrix."""
+    return validate_density_matrix(np.tensordot(weights, states, 1))
 
 
 def brute_force_joint(psi, g):
@@ -282,7 +289,7 @@ class TestEvolveDensity:
         g = random_gamma(d, RNG)
         rho_a = random_density(d, RNG)
         rho_b = random_density(d, RNG)
-        mixed = ensemble_to_density([0.3, 0.7], [rho_a, rho_b])
+        mixed = mixture([0.3, 0.7], [rho_a, rho_b])
         lhs = evolve_density(mixed, g)
         rhs = 0.3 * evolve_density(rho_a, g) + 0.7 * evolve_density(rho_b, g)
         assert frobenius_distance(lhs, rhs) < 1e-12
@@ -293,30 +300,28 @@ class TestEvolveDensity:
 
 
 class TestEnsemble:
+    # The mixture recipe that replaces the removed ``ensemble_to_density``:
+    # weights are not checked on their own, only the state they produce.
     def test_single_projector(self):
-        rho = ensemble_to_density([1.0], [np.outer(basis_ket(2, 0), basis_ket(2, 0).conj())])
+        rho = mixture([1.0], [np.outer(basis_ket(2, 0), basis_ket(2, 0).conj())])
         np.testing.assert_allclose(rho, [[1, 0], [0, 0]], atol=1e-15)
 
     def test_equal_mixture_is_maximally_mixed(self):
         states = [np.outer(basis_ket(2, i), basis_ket(2, i).conj()) for i in range(2)]
-        np.testing.assert_allclose(ensemble_to_density([0.5, 0.5], states), np.eye(2) / 2, atol=1e-15)
+        np.testing.assert_allclose(mixture([0.5, 0.5], states), np.eye(2) / 2, atol=1e-15)
 
     def test_weighted_mixture_matches_direct_sum(self):
         kets = [random_ket(3, RNG) for _ in range(2)]
         projectors = [np.outer(v, v.conj()) for v in kets]
-        rho = ensemble_to_density([0.25, 0.75], projectors)
+        rho = mixture([0.25, 0.75], projectors)
         np.testing.assert_allclose(rho, 0.25 * projectors[0] + 0.75 * projectors[1], atol=1e-14)
         assert np.linalg.eigvalsh(rho).min() > -1e-12
 
-    def test_rejects_negative_weight(self):
-        with pytest.raises(DomainError, match="nonnegative"):
-            ensemble_to_density([1.5, -0.5], [np.eye(2) / 2, np.eye(2) / 2])
-
     def test_rejects_bad_weight_sum(self):
-        with pytest.raises(DomainError, match="sum to 1"):
-            ensemble_to_density([0.5, 0.4], [np.eye(2) / 2, np.eye(2) / 2])
+        with pytest.raises(ValidationError, match="trace"):
+            mixture([0.5, 0.4], [np.eye(2) / 2, np.eye(2) / 2])
 
     def test_rejects_inconsistent_coefficients(self):
         # trace-1 Hermitian but indefinite coefficient input
         with pytest.raises(ValidationError, match="semidefinite"):
-            ensemble_to_density([1.0], [np.diag([1.5, -0.5])])
+            mixture([1.0], [np.diag([1.5, -0.5])])

@@ -175,7 +175,7 @@ class TestTolOption:
     def test_valid_invocations_exit_0(self, command, inputs):
         assert run_captured(SUBCOMMANDS[command], inputs)[0] == 0
 
-    @pytest.mark.parametrize("tol", ["bogus", "norm=x", "norm=-1", "what=1"])
+    @pytest.mark.parametrize("tol", ["bogus", "norm=x", "norm=-1", "what=1", "jacobi=1e-12", "NORM_TOL=1e-9"])
     @pytest.mark.parametrize("command", SUBCOMMANDS)
     def test_malformed_tol_exits_2_everywhere(self, command, tol, inputs):
         code, out, err = run_captured([*SUBCOMMANDS[command], "--tol", tol], inputs)

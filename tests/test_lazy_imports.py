@@ -14,10 +14,9 @@ PUBLIC_NAMES = (
     "Tolerances", "ValidationError", "VerifyReport", "WeylBasis", "WeylFormTerm", "WeylIndex",
     "WeylkitError", "apply_channel", "basis_ket", "channel_from_dilation", "channel_to_json",
     "channels_equal", "choi_matrix", "choi_to_json", "clock_matrix", "coefficients_to_json",
-    "commutator_in_basis", "decompose", "ensemble_to_density", "env_gram", "env_index",
-    "evolve_density", "evolve_pure", "frobenius_distance", "gamma_to_json", "gram_matrix",
-    "hermitian_eigenvalues", "is_trace_preserving", "json_to_channel", "json_to_coefficients",
-    "json_to_gamma", "json_to_matrix", "json_to_vector", "kraus_from_isometry", "kraus_mix",
+    "commutator_in_basis", "decompose", "env_gram", "evolve_density", "evolve_pure",
+    "frobenius_distance", "gamma_to_json", "gram_matrix", "is_trace_preserving", "json_to_channel",
+    "json_to_coefficients", "json_to_gamma", "json_to_matrix", "json_to_vector", "kraus_mix",
     "make_isometry", "matrix_to_json", "omega", "partial_trace_env", "reconstruct",
     "replace_tolerance", "run_verification", "shift_matrix", "unitality_deficit",
     "validate_density_matrix", "validate_ket", "vector_to_json", "weyl_basis", "weyl_channel",
