@@ -19,10 +19,10 @@ outside these codes: under an address-space cap of about 130 MiB or less,
 OpenBLAS fails during the import and the process exits 1 with no ``error:``
 line.  Library functions validate their inputs; the commands do not repeat
 those checks.  JSON artifacts and summaries are built with
-``numerics.json_object``, except the multi-line verify report.  Input and
-output paths accept ``-`` for the standard streams.  Output artifacts are
-byte-deterministic for identical inputs (the verify report's wall-time
-fields are measured and therefore excluded from that guarantee).
+``numerics.json_object``.  Input and output paths accept ``-`` for the
+standard streams.  Output artifacts are byte-deterministic for identical
+inputs (the verify report's wall-time fields are measured and therefore
+excluded from that guarantee).
 """
 
 from __future__ import annotations
@@ -397,10 +397,7 @@ def run(argv=None) -> int:
     try:
         args.tol = _tolerances(args.tol)
         return args.handler(args)
-    except _Usage as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ParseError, ShapeError) as exc:
+    except (_Usage, ParseError, ShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (DomainError, ValidationError) as exc:

@@ -20,6 +20,7 @@ from .errors import DomainError
 from .numerics import (
     basis_ket,
     frobenius_distance,
+    json_object,
     json_to_matrix,
     matrix_to_json,
     partial_trace_env,
@@ -54,11 +55,12 @@ class VerifyReport:
     def to_json(self) -> str:
         lines = []
         for c in self.checks:
-            lines.append(
-                '    {"name": "%s", "d": %d, "status": "%s", "residual": %.6e, '
-                '"tolerance": %.6e, "wall_time_s": %.6f}'
-                % (c.name, c.d, "pass" if c.passed else "fail", c.residual, c.tolerance, c.wall_time_s)
-            )
+            residual = f"{c.residual:.6e}" if np.isfinite(c.residual) else "null"  # NaN is not JSON; its check failed
+            fields = [
+                ("name", f'"{c.name}"'), ("d", str(c.d)), ("status", '"pass"' if c.passed else '"fail"'),
+                ("residual", residual), ("tolerance", f"{c.tolerance:.6e}"), ("wall_time_s", f"{c.wall_time_s:.6f}"),
+            ]
+            lines.append("    " + json_object(fields))
         body = ",\n".join(lines)
         dims = ", ".join(str(d) for d in self.dims)
         return (
@@ -100,7 +102,8 @@ def run_verification(
     """Run the full invariant suite for every requested dimension, any d in 2..32.
 
     No check builds a dense joint over ``JOINT_BYTES_MAX`` (d > 12); ``kraus_vs_partial_trace`` traces the regrouping.
-    ``draws`` controls how many random objects each randomized check uses.
+    ``draws`` (at least 1) controls how many random objects each randomized check uses; a check's
+    residual is the maximum over everything it measures, and a NaN anywhere makes it NaN and fails.
     ``inject_fault`` deliberately corrupts one basis phase before the
     orthogonality check, as a self-test that the suite can fail.
     """
@@ -110,13 +113,15 @@ def run_verification(
             raise DomainError(f"verify requires {D_MIN} <= d <= {D_MAX}, got {d}")
     if seed < 0:
         raise DomainError(f"seed must be non-negative, got {seed}")
+    if draws < 1:
+        raise DomainError(f"draws must be at least 1, got {draws}")
 
     results = []
     for d in dims:
         rng = np.random.default_rng(seed + d)
         for name, residual, tolerance in _checks_for_dim(d, rng, draws, inject_fault):
             start = time.perf_counter()
-            value = float(residual())
+            value = float(np.max(np.fromiter(residual(), dtype=np.float64)))  # np.max keeps a NaN
             elapsed = time.perf_counter() - start
             results.append(
                 CheckResult(
@@ -157,60 +162,50 @@ def _bracket_coefficients(d: int, l: int) -> np.ndarray:
 
 
 def _checks_for_dim(d, rng, draws, inject_fault):
-    """Yield (name, residual_thunk, tolerance) triples for one dimension."""
+    """Yield (name, residuals, tolerance) triples for one dimension; ``residuals()`` yields every value measured."""
     basis = weyl_basis(d)
 
     def basis_orthogonality():
         checked = basis
         if inject_fault:
             checked = replace(basis, elements=_corrupt_one_phase(basis.elements))
-        return frobenius_distance(gram_matrix(checked), d * np.eye(d * d))
+        yield frobenius_distance(gram_matrix(checked), d * np.eye(d * d))
 
     yield "basis_orthogonality", basis_orthogonality, 1e-10
 
     def basis_roundtrip():
-        worst = 0.0
         for _ in range(draws):
             a = random_complex_matrix(d, rng)
-            worst = max(worst, frobenius_distance(reconstruct(decompose(a)), a))
-        return worst
+            yield frobenius_distance(reconstruct(decompose(a)), a)
 
     yield "basis_roundtrip", basis_roundtrip, 1e-10
 
     def coefficient_formula():
-        worst = 0.0
         for a in range(d):
             for b in range(d):
                 xi = decompose(np.outer(basis_ket(d, a), basis_ket(d, b).conj()))
                 expected = np.zeros((d, d), dtype=np.complex128)
                 expected[(a - b) % d] = np.exp(-2j * np.pi * (b * np.arange(d) % d) / d) / d
-                worst = max(worst, float(np.max(np.abs(xi - expected))))
-        return worst
+                yield np.max(np.abs(xi - expected))
 
     yield "coefficient_formula", coefficient_formula, 1e-12
 
     def depolarizing_limit():
         uniform = weyl_channel(np.full((d, d), 1.0 / (d * d)))
         maxmix = np.eye(d) / d
-        worst = 0.0
         for _ in range(draws):
-            out = apply_channel(uniform, random_density(d, rng))
-            worst = max(worst, frobenius_distance(out, maxmix))
-        return worst
+            yield frobenius_distance(apply_channel(uniform, random_density(d, rng)), maxmix)
 
     yield "depolarizing_limit", depolarizing_limit, 1e-10
 
     def dilation_isometry():
-        worst = 0.0
         for _ in range(draws):
             v = make_isometry(random_gamma(d, rng))
-            worst = max(worst, frobenius_distance(v.conj().T @ v, np.eye(d)))
-        return worst
+            yield frobenius_distance(v.conj().T @ v, np.eye(d))
 
     yield "dilation_isometry", dilation_isometry, 1e-10
 
     def kraus_vs_partial_trace():
-        worst = 0.0
         for _ in range(draws):
             g = random_gamma(d, rng)
             rho = random_density(d, rng)
@@ -220,8 +215,7 @@ def _checks_for_dim(d, rng, draws, inject_fault):
                 oracles.append(partial_trace_env(evolve_density(rho, g), d, d * d))
             for form in (ch, _kraus_form(ch)):
                 out = apply_channel(form, rho)
-                worst = max(worst, *(frobenius_distance(out, o) for o in oracles))
-        return worst
+                yield from (frobenius_distance(out, o) for o in oracles)
 
     yield "kraus_vs_partial_trace", kraus_vs_partial_trace, 1e-10
 
@@ -231,13 +225,11 @@ def _checks_for_dim(d, rng, draws, inject_fault):
         z = np.arange(d)
         rows = dim_constants(d).rows  # rows[a, j] = (j + a) % d
         cols = basis.elements.reshape(d, d, d, d)[z[:, None, None], z[:, None], rows[:, None, :], z]
-        worst = 0.0
         for l in range(d):
             comm = cols[l].take(rows, axis=1)[:, :, None, :] * cols  # W_x W_y as (k, m, n, j), C-ordered
             comm -= cols[:, :, rows[l]] * cols[l][:, None, None, :]  # W_y W_x
             comm -= _bracket_coefficients(d, l)[..., None] * cols[rows[l][:, None], rows[:, None, :]]
-            worst = max(worst, float(np.max(np.linalg.norm(comm, axis=-1))))
-        return worst
+            yield np.max(np.linalg.norm(comm, axis=-1))
 
     yield "lie_closure", lie_closure, 1e-10
 
@@ -245,26 +237,24 @@ def _checks_for_dim(d, rng, draws, inject_fault):
         a = random_complex_matrix(d, rng)
         text = matrix_to_json(a)
         again = matrix_to_json(json_to_matrix(text))
-        return 0.0 if text == again else 1.0
+        yield 0.0 if text == again else 1.0
 
     yield "serialization_roundtrip", serialization_roundtrip, 0.0
 
     def trace_preservation():
         channels = [channel_from_dilation(random_gamma(d, rng)) for _ in range(draws)]
         channels.append(weyl_channel(np.full((d, d), 1.0 / (d * d))))
-        return max(is_trace_preserving(form)[1] for ch in channels for form in (ch, _kraus_form(ch)))
+        yield from (is_trace_preserving(form)[1] for ch in channels for form in (ch, _kraus_form(ch)))
 
     yield "trace_preservation", trace_preservation, 1e-10
 
     def weyl_form_consistency():
-        worst = 0.0
         for _ in range(draws):
             g = random_gamma(d, rng)
             psi = random_ket(d, rng)
             direct = make_isometry(g) @ psi
             sys, env = _weyl_form_arrays(psi, g)
             reassembled = (sys.T @ env).ravel() / d  # (1/d) sum over (l, k) of kron(sys, env)
-            worst = max(worst, float(np.linalg.norm(reassembled - direct)))
-        return worst
+            yield np.linalg.norm(reassembled - direct)
 
     yield "weyl_form_consistency", weyl_form_consistency, 1e-10
