@@ -92,27 +92,21 @@ class QuantumChannel:
     def __init__(self, d: int, kraus):
         if d < 2:
             raise DomainError(f"channel dimension must be >= 2, got {d}")
-        ops = kraus
         try:  # one copy of an array or of a sequence of equal-shape matrices
-            ops = np.array(kraus, dtype=np.complex128)
+            stack = np.array(kraus, dtype=np.complex128)
         except (TypeError, ValueError):  # ragged or non-numeric: scanned one operator at a time below
-            pass
-        if isinstance(ops, np.ndarray) and ops.ndim == 3:
-            # The operators of one array share a shape, so a wrong one is reported before non-finite entries.
-            n = len(ops) if ops.shape[1:] == (d, d) else 0
-        else:
+            stack = None
+        if stack is None or stack.ndim != 3 or stack.shape[1:] != (d, d):
             ops = [as_matrix(e) for e in kraus]
-            # Operators are checked up to the first one of the wrong shape, so a
-            # non-finite operator before it is reported first, as in a scan of
-            # the list one operator at a time.
-            n = next((i for i, e in enumerate(ops) if e.shape != (d, d)), len(ops))
-        if not len(ops):
+            for e in ops:  # in list order, so the first operator of a wrong shape or with a non-finite entry raises
+                if e.shape != (d, d):
+                    raise ShapeError(f"Kraus operators must be {d} x {d}, got {e.shape}")
+                _require_finite(e, "Kraus operator")
+            stack = np.array(ops, dtype=np.complex128)
+        if not len(stack):
             raise DomainError("a channel needs at least one Kraus operator")
-        stack = np.asarray(ops[:n], dtype=np.complex128)  # copies a list only; the array above is fresh
-        _require_finite(stack, "Kraus operator")  # non-finite entries are reported before a wrong shape further on
-        if n < len(ops):
-            raise ShapeError(f"Kraus operators must be {d} x {d}, got {ops[n].shape}")
-        self._hold(d, n, stack)
+        _require_finite(stack, "Kraus operator")
+        self._hold(d, len(stack), stack)
 
     @classmethod
     def _made(cls, d: int, count: int, stack=None, transition=None, build=None) -> "QuantumChannel":

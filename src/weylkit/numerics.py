@@ -35,6 +35,7 @@ All functions are pure; none mutates its arguments.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import itertools
 import json
 import math
@@ -89,6 +90,7 @@ def _require_finite(a: np.ndarray, what: str) -> None:
 # Squared entries summing to at most this bound every entry by 1e150, so no sum,
 # difference or product in the Hermitian and density-matrix checks can overflow.
 _SAFE_SQUARES = 1e300
+_UNGUARDED = contextlib.nullcontext()  # the checks' context within that bound, one object reused by every call
 
 
 def _check_weights(p: np.ndarray, tol: Tolerances) -> None:
@@ -169,46 +171,41 @@ def validate_density_matrix(rho, *, tol: Tolerances = DEFAULT_TOLERANCES) -> np.
     A valid density matrix is square, finite, Hermitian within ``tol.herm``,
     has unit trace within ``tol.norm``, and minimum eigenvalue at least
     ``-tol.psd``.  The error message lists every violated invariant.
-    A diagonal matrix (NaN counts as nonzero) is checked through its diagonal.
+    A diagonal matrix (NaN counts as nonzero) is checked through its diagonal;
+    its Hermitian defect is 0.0 when every diagonal entry is real.  Entries
+    that fail one sum of squares (not finite, or large enough to overflow)
+    are checked under ``np.errstate``, with the Hermitian part formed from halves.
     """
     rho = as_matrix(rho)
     if rho.shape[0] != rho.shape[1]:
         raise ShapeError(f"density matrix must be square, got {rho.shape}")
     diag = rho.diagonal()
-    _check_density(rho, diag if np.count_nonzero(rho) == np.count_nonzero(diag) else None, tol)
-    return rho
-
-
-def _check_density(rho: np.ndarray, diag, tol: Tolerances, large: bool = False) -> None:
-    """The density-matrix check of a square complex ``rho``; ``diag`` is its diagonal if ``rho`` is diagonal, else None.
-
-    A diagonal state's Hermitian defect is 0.0 when every imaginary part of ``diag`` is zero.  Entries that fail
-    one sum of squares (not finite, or large enough to overflow) are checked under ``np.errstate``.
-    """
+    diag = diag if np.count_nonzero(rho) == np.count_nonzero(diag) else None
     x = rho if diag is None else diag
-    if not large and not np.vdot(x, x).real <= _SAFE_SQUARES:
+    large = not np.vdot(x, x).real <= _SAFE_SQUARES
+    if large:
         _require_finite(x, "density matrix")
-        with np.errstate(all="ignore"):
-            return _check_density(rho, diag, tol, large=True)
     failures = []
-    if diag is None:
-        rho_h = rho.conj().T
-        herm_defect = _norm(rho - rho_h)
-        herm = rho / 2.0 + rho_h / 2.0 if large else (rho + rho_h) / 2.0  # halves first, so large entries cannot overflow
-        tr = complex(rho.trace())
-    else:
-        herm_defect = _norm(rho - rho.conj().T) if np.logical_or.reduce(diag.imag) else 0.0
-        tr = complex(np.add.reduce(diag))
-    if herm_defect > tol.herm:
-        failures.append(f"not Hermitian (defect {herm_defect:.3e} > {tol.herm:.3e})")
-    if abs(tr - 1.0) > tol.norm:
-        failures.append(f"trace {tr!r} is not 1 within {tol.norm:.3e}")
-    if not failures:
-        lo = float(np.minimum.reduce(diag.real) if diag is not None else np.linalg.eigvalsh(herm)[0])
-        if not lo >= -tol.psd:
-            failures.append(f"not positive semidefinite (min eigenvalue {lo:.3e} < -{tol.psd:.3e})")
+    with np.errstate(all="ignore") if large else _UNGUARDED:
+        if diag is None:
+            rho_h = rho.conj().T
+            herm_defect = _norm(rho - rho_h)
+            herm = rho / 2.0 + rho_h / 2.0 if large else (rho + rho_h) / 2.0  # halves first, so large entries cannot overflow
+            tr = complex(rho.trace())
+        else:
+            herm_defect = _norm(rho - rho.conj().T) if np.logical_or.reduce(diag.imag) else 0.0
+            tr = complex(np.add.reduce(diag))
+        if herm_defect > tol.herm:
+            failures.append(f"not Hermitian (defect {herm_defect:.3e} > {tol.herm:.3e})")
+        if abs(tr - 1.0) > tol.norm:
+            failures.append(f"trace {tr!r} is not 1 within {tol.norm:.3e}")
+        if not failures:
+            lo = float(np.minimum.reduce(diag.real) if diag is not None else np.linalg.eigvalsh(herm)[0])
+            if not lo >= -tol.psd:
+                failures.append(f"not positive semidefinite (min eigenvalue {lo:.3e} < -{tol.psd:.3e})")
     if failures:
         raise ValidationError("invalid density matrix: " + "; ".join(failures))
+    return rho
 
 
 # ---------------------------------------------------------------------------

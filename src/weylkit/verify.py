@@ -99,7 +99,7 @@ def run_verification(
     draws: int = 10,
     inject_fault: bool = False,
 ) -> VerifyReport:
-    """Run the full invariant suite for every requested dimension, any d in 2..32.
+    """Run the full invariant suite for every requested dimension (at least one), any d in 2..32.
 
     No check builds a dense joint over ``JOINT_BYTES_MAX`` (d > 12); ``kraus_vs_partial_trace`` traces the regrouping.
     ``draws`` (at least 1) controls how many random objects each randomized check uses; a check's
@@ -108,6 +108,8 @@ def run_verification(
     orthogonality check, as a self-test that the suite can fail.
     """
     dims = tuple(int(d) for d in dims)
+    if not dims:
+        raise DomainError("verify requires at least one dimension")
     for d in dims:
         if d < D_MIN or d > D_MAX:
             raise DomainError(f"verify requires {D_MIN} <= d <= {D_MAX}, got {d}")

@@ -150,11 +150,7 @@ def weyl_element(d: int, l: int, k: int) -> np.ndarray:
     Any integers ``l`` and ``k`` are reduced mod d first.  Equal to ``shift_matrix(d, l) @ clock_matrix(d, k)``.
     """
     d = _check_dim(d)
-    l, k = int(l) % d, int(k) % d
-    w = np.zeros((d, d), dtype=np.complex128)
-    cols = np.arange(d)
-    w[(cols + l) % d, cols] = phase_vector(d, cols * k)
-    return w
+    return _weyl_stack(d, np.array([int(l) % d]), np.array([int(k) % d]))[0]
 
 
 @dataclass(frozen=True)
@@ -185,14 +181,10 @@ class WeylBasis:
     """All d**2 elements ``X_l Z_k``, enumerated l-major (l outer, k inner)."""
 
     d: int
-    omega: complex
     elements: np.ndarray = field(repr=False)  # shape (d**2, d, d), read-only
 
     def element(self, l: int, k: int) -> np.ndarray:
         return self.elements[(l % self.d) * self.d + (k % self.d)]
-
-    def __iter__(self):
-        return iter(self.elements)
 
 
 def _weyl_stack(d: int, l: np.ndarray, k: np.ndarray, c=None) -> np.ndarray:
@@ -207,7 +199,7 @@ def _weyl_stack(d: int, l: np.ndarray, k: np.ndarray, c=None) -> np.ndarray:
 def weyl_basis(d: int) -> WeylBasis:
     """The basis for dimension ``d``, built afresh; element ``[l * d + k]`` is ``weyl_element(d, l, k)``."""
     d = _check_dim(d)
-    return WeylBasis(d=d, omega=omega(d), elements=_frozen(_weyl_stack(d, *np.divmod(np.arange(d * d), d))))
+    return WeylBasis(d=d, elements=_frozen(_weyl_stack(d, *np.divmod(np.arange(d * d), d))))
 
 
 def decompose(a) -> np.ndarray:

@@ -380,3 +380,32 @@ class TestQuantumChannelType:
         with pytest.raises(error) as caught:
             QuantumChannel(d=2, kraus=ops)
         assert type(caught.value) is error and str(caught.value) == message
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: QuantumChannel(d=1, kraus=[np.eye(1)]), DomainError, "channel dimension must be >= 2, got 1"),
+        (lambda: weyl_channel(np.full((2, 2), 0.25) + 0.1j), DomainError, "weights must be real"),
+        (
+            lambda: weyl_channel(np.full((2, 3), 1 / 6)),
+            ShapeError,
+            "weights must be a square (d, d) table with d >= 2, got (2, 3)",
+        ),
+        (
+            lambda: weyl_channel(np.full((2, 2), 0.25), tol=Tolerances(prune=10.0)),
+            DomainError,
+            "all weights prune to zero",
+        ),
+        (
+            lambda: kraus_mix(weyl_channel(np.diag([1.0, 0.0])), np.eye(2)),
+            ShapeError,
+            "mixing matrix must be 1 x 1, got (2, 2)",
+        ),
+    ],
+    ids=["channel-d-1", "complex-weights", "non-square-weights", "all-pruned", "mixing-size"],
+)
+def test_input_errors(call, error, message):
+    with pytest.raises(error) as caught:
+        call()
+    assert type(caught.value) is error and str(caught.value) == message

@@ -256,8 +256,8 @@ def test_ensemble_rejects_non_finite_weights(bad):
 
 
 # ---------------------------------------------------------------------------
-# one density check per state: the guarded check, its diagonal helper and
-# apply_channel's record of its own last output
+# one density check per state: the guarded check, its diagonal path, and
+# apply_channel checking its input and its output once each
 
 
 def ref_check(rho):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from weylkit import (
+    DomainError,
     GammaTable,
     ShapeError,
     ValidationError,
@@ -83,6 +84,29 @@ class TestGammaTable:
         g = GammaTable.uniform(2)
         with pytest.raises(ValueError):
             g.gamma[0, 0] = 0.0
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: GammaTable.uniform(1), DomainError, "dimension must be >= 2, got 1"),
+        (
+            lambda: GammaTable.uniform(2, phases=np.zeros((3, 3))),
+            ShapeError,
+            "phases must have shape (2, 2), got (3, 3)",
+        ),
+        (
+            lambda: weyl_form_of_joint(np.ones(3) / np.sqrt(3), GammaTable.uniform(2)),
+            ShapeError,
+            "state dimension 3 does not match gamma dimension 2",
+        ),
+    ],
+    ids=["uniform-d-1", "phases-shape", "joint-dimension"],
+)
+def test_input_errors(call, error, message):
+    with pytest.raises(error) as caught:
+        call()
+    assert type(caught.value) is error and str(caught.value) == message
 
 
 class TestMakeIsometry:

@@ -4,15 +4,19 @@ import numpy as np
 import pytest
 
 from weylkit import (
+    ParseError,
     ShapeError,
     ValidationError,
     basis_ket,
     frobenius_distance,
+    json_to_vector,
+    matrix_to_json,
     partial_trace_env,
     validate_density_matrix,
     validate_ket,
 )
 from weylkit.config import DEFAULT_TOLERANCES
+from weylkit.numerics import as_vector
 from weylkit.rand import random_complex_matrix, random_density, random_unitary
 from weylkit.weyl import clock_matrix, shift_matrix
 
@@ -281,3 +285,22 @@ class TestDensityCheckSinglePass:
             outcome(validate_density_matrix, rho)
             assert len(seen) == 1
             assert seen[0][0] == eigvalsh((rho + rho.conj().T) / 2)[0]
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: as_vector(np.eye(2)), ShapeError, "expected a vector, got array of shape (2, 2)"),
+        (lambda: basis_ket(0, 0), ShapeError, "dimension must be positive, got 0"),
+        (
+            lambda: json_to_vector(matrix_to_json(np.eye(2))),
+            ParseError,
+            "vector: expected a single-column matrix, got 2 columns",
+        ),
+    ],
+    ids=["matrix-as-vector", "ket-dimension-0", "two-column-vector"],
+)
+def test_input_errors(call, error, message):
+    with pytest.raises(error) as caught:
+        call()
+    assert type(caught.value) is error and str(caught.value) == message

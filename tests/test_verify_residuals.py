@@ -63,6 +63,22 @@ def test_draws_below_one_are_refused(draws, capsys):
     assert capsys.readouterr().err == f"error: --draws must be at least 1, got {draws}\n"
 
 
+@pytest.mark.parametrize(
+    "dims, message",
+    [([], "verify requires at least one dimension"), ([33], "verify requires 2 <= d <= 32, got 33")],
+    ids=["no-dimension", "d-33"],
+)
+def test_dimensions_are_checked(dims, message):
+    with pytest.raises(DomainError) as caught:
+        run_verification(dims)
+    assert str(caught.value) == message
+
+
+def test_cli_keeps_its_own_empty_dimension_message(capsys):
+    assert run(["verify", "--d", ","]) == 2
+    assert capsys.readouterr().err == "error: --d expects at least one dimension\n"
+
+
 def test_report_writes_a_nonfinite_residual_as_null():
     checks = (
         CheckResult("basis_roundtrip", 2, False, float("nan"), 1e-10, 0.5),

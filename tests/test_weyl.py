@@ -8,6 +8,7 @@ from weylkit import (
     ShapeError,
     WeylIndex,
     clock_matrix,
+    coefficients_to_json,
     commutator_in_basis,
     decompose,
     frobenius_distance,
@@ -272,3 +273,10 @@ class TestBasisObject:
         basis = weyl_basis(2)
         with pytest.raises(ValueError):
             basis.elements[0][0, 0] = 5.0
+
+
+@pytest.mark.parametrize("call", [reconstruct, coefficients_to_json], ids=["reconstruct", "coefficients_to_json"])
+def test_non_square_coefficient_table(call):
+    with pytest.raises(ShapeError) as caught:
+        call(np.zeros((2, 3)))
+    assert type(caught.value) is ShapeError and str(caught.value) == "coefficient table must be square, got (2, 3)"
