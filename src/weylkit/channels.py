@@ -18,6 +18,23 @@ system-output factor on the left of the Kronecker product.  J is Hermitian,
 positive semidefinite, has trace d for trace-preserving channels, and
 identifies the map regardless of which Kraus list produced it.
 
+A Weyl channel ``rho -> sum_{l,k} p[l, k] W_lk rho W_lk^dagger`` with
+``W_lk = X_l Z_k`` is a shift-and-Schur map (Fukuda & Holevo, "On
+Weyl-covariant channels", 2006): conjugation by ``W_lk`` multiplies entry
+(i, j) by ``omega**(k*(i - j))`` and moves it along wrapped diagonal l, so
+
+    E(rho)[i, j] = sum_l q[l, i - j] rho[i - l, j - l],
+    q[l, t] = sum_k p[l, k] omega**(k*t)   (q = p F, indices mod d).
+
+The vecs of the d operators that share a shift l live on the same d
+entries ``flat[l, n] = ((n + l) % d) * d + n``, so the Choi matrix is one
+scatter, ``J[flat[l, i], flat[l, j]] = q[l, i - j]``, zero elsewhere.  Every
+``W_lk`` is unitary, so ``sum_m E_m^dagger E_m = sum_m E_m E_m^dagger =
+(sum p) I`` and both completeness deficits are ``|sum p - 1| sqrt(d)``.
+:func:`weyl_channel` keeps its table ``weights`` and runs these forms; the
+Kraus list is built too and stays the reference, which the tests and
+``verify`` compare the table with.
+
 The dilation channel is classical.  Slot (a, b) holds the rank-one
 ``gamma[a, b] |a - 2b><-b|``, so every output is diagonal,
 ``rho -> diag(T diag(rho))`` with the column-stochastic
@@ -29,7 +46,8 @@ stays the reference, and the tests compare the closed form with it.
 
 from __future__ import annotations
 
-from functools import cached_property
+import math
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -50,7 +68,7 @@ from .numerics import (
     require_int_field,
     validate_density_matrix,
 )
-from .weyl import _weyl_stack, dim_constants
+from .weyl import _MEMO_DIMS, _frozen, _roots, _weyl_stack, dim_constants
 
 __all__ = [
     "QuantumChannel",
@@ -81,10 +99,16 @@ class QuantumChannel:
     :func:`weyl_channel` builds its stack fresh and finite, and the channel
     takes it over without a copy or a second check.
 
+    :func:`weyl_channel` also holds its pruned (d, d) float64 weight table
+    ``weights`` (p), and runs from it (see the module docstring):
+    ``apply_channel`` sums ``q[l, i - j] rho[i - l, j - l]`` over l with
+    ``q = p F``, ``choi_matrix`` scatters ``J[flat[l, i], flat[l, j]] =
+    q[l, i - j]`` into zeros, and both deficits are ``|sum p - 1| sqrt(d)``.
     :func:`channel_from_dilation` holds the stochastic matrix ``transition``
-    instead (see the module docstring; it is None for a Kraus list).  Its
-    ``stack`` and ``kraus`` are built on first access and cached, and
-    ``len(ch)`` counts the Kraus operators without building them.
+    instead.  Each field is None on a channel that does not hold it, and on
+    every Kraus list.  A dilation channel's ``stack`` and ``kraus`` are
+    built on first access and cached, and ``len(ch)`` counts the Kraus
+    operators without building them.
     A channel is immutable: setting or deleting an attribute raises
     AttributeError.
     """
@@ -109,17 +133,18 @@ class QuantumChannel:
         self._hold(d, len(stack), stack)
 
     @classmethod
-    def _made(cls, d: int, count: int, stack=None, transition=None, build=None) -> "QuantumChannel":
-        """A factory's channel: a fresh, finite (m, d, d) complex128 ``stack``, held without a copy, or the
-        stochastic matrix ``transition`` with ``build()`` returning such a stack of its Kraus form."""
+    def _made(cls, d: int, count: int, stack=None, transition=None, build=None, weights=None) -> "QuantumChannel":
+        """A factory's channel: a fresh, finite (m, d, d) complex128 ``stack``, held without a copy (with the
+        weight table it was built from, if any), or the stochastic matrix ``transition`` with ``build()``
+        returning such a stack of its Kraus form."""
         ch = cls.__new__(cls)
-        ch._hold(d, count, stack, transition, build)
+        ch._hold(d, count, stack, transition, build, weights)
         return ch
 
-    def _hold(self, d: int, count: int, stack, transition=None, build=None) -> None:
+    def _hold(self, d: int, count: int, stack, transition=None, build=None, weights=None) -> None:
         """Make the arrays read-only and set the fields once; the channel cannot be changed afterwards."""
-        fields = dict(d=d, _count=count, transition=transition, _build=build)
-        for name, a in (("stack", stack), ("transition", transition)):
+        fields = dict(d=d, _count=count, transition=transition, weights=weights, _build=build)
+        for name, a in (("stack", stack), ("transition", transition), ("weights", weights)):
             if a is not None:
                 a.setflags(write=False)
                 fields[name] = a  # a held stack shadows the cached property that builds one
@@ -153,12 +178,35 @@ def _dagger(stack: np.ndarray) -> np.ndarray:
     return stack.conj().transpose(0, 2, 1)
 
 
+@lru_cache(maxsize=_MEMO_DIMS)
+def _weight_tables(d: int) -> tuple:
+    """Read-only (d, d**2) tables of the Weyl channel forms, d**3 entries each, at row l and column i*d + j.
+
+    ``shifted = ((i - l) % d) * d + (j - l) % d`` (where ``rho[i - l, j - l]`` sits in the flattened state),
+    ``choi_pos = flat[l, i] * d**2 + flat[l, j]`` (its Choi entry) and, at row k, ``mult = omega**(k*(i - j))``,
+    read from the cached roots so quarter turns are exact; ``weights @ mult`` is q at ``[l, i*d + j]``.
+    """
+    n = np.arange(d)
+    c = dim_constants(d)
+    back = c.rows[-n % d]  # back[l, n] = (n - l) % d
+    shifted = back[:, :, None] * d + back[:, None, :]
+    choi_pos = c.flat[:, :, None] * (d * d) + c.flat[:, None, :]
+    mult = _roots(d)[n[:, None, None] * ((n[:, None] - n) % d) % d]
+    return tuple(_frozen(a.reshape(d, d * d)) for a in (shifted, choi_pos, mult))
+
+
+def _weight_deficit(ch: QuantumChannel) -> float:
+    """``||(sum p) I - I||_F = |sum p - 1| sqrt(d)``, both completeness deficits of a Weyl channel."""
+    return abs(float(np.add.reduce(ch.weights, axis=None)) - 1.0) * math.sqrt(ch.d)
+
+
 def apply_channel(ch: QuantumChannel, rho, *, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     """Evolve a density matrix: ``sum_m E_m rho E_m^dagger``.
 
-    A dilation channel computes ``diag(T diag(rho))``.  A Kraus list is
-    summed in list order (a reduction over the first axis of the stack), so
-    results are deterministic.
+    A dilation channel computes ``diag(T diag(rho))``, a Weyl channel
+    ``sum_l q[l, i - j] rho[i - l, j - l]`` from its weight table.  A Kraus
+    list is summed in list order (a reduction over the first axis of the
+    stack), so results are deterministic.
     Every call validates its input and its output once each with
     :func:`validate_density_matrix` (a diagonal output, as every dilation
     output is, through its diagonal) and keeps nothing between calls.  A
@@ -172,6 +220,9 @@ def apply_channel(ch: QuantumChannel, rho, *, tol: Tolerances = DEFAULT_TOLERANC
     if ch.transition is not None:
         out = np.zeros((d, d), dtype=np.complex128)
         out.reshape(-1)[:: d + 1] = ch.transition @ rho.diagonal()
+    elif ch.weights is not None:
+        shifted, _, mult = _weight_tables(d)
+        out = np.add.reduce((ch.weights @ mult) * rho.reshape(-1)[shifted], axis=0).reshape(d, d)
     else:
         k = ch.stack  # K rho as one (m d, d) x (d, d) product
         out = np.add.reduce((k.reshape(-1, d) @ rho).reshape(k.shape) @ _dagger(k), axis=0)
@@ -187,11 +238,13 @@ def is_trace_preserving(ch: QuantumChannel, *, tol: Tolerances = DEFAULT_TOLERAN
 
     ``deficit = ||sum_m E_m^dagger E_m - I||_F`` and ``ok`` holds iff it is
     below ``tol.cptp``.  For a dilation channel that sum is
-    ``diag(column sums of T)``.  The dual condition (unitality) is measured
-    separately by :func:`unitality_deficit`.
+    ``diag(column sums of T)``, for a Weyl channel ``(sum p) I``.  The dual
+    condition (unitality) is measured separately by :func:`unitality_deficit`.
     """
     if ch.transition is not None:
         deficit = float(np.linalg.norm(ch.transition.sum(axis=0) - 1.0))
+    elif ch.weights is not None:
+        deficit = _weight_deficit(ch)
     else:
         acc = (_dagger(ch.stack) @ ch.stack).sum(axis=0)
         deficit = frobenius_distance(acc, np.eye(ch.d))
@@ -199,9 +252,12 @@ def is_trace_preserving(ch: QuantumChannel, *, tol: Tolerances = DEFAULT_TOLERAN
 
 
 def unitality_deficit(ch: QuantumChannel) -> float:
-    """``||sum_m E_m E_m^dagger - I||_F``; zero iff the channel fixes I/d.  For a dilation channel, diag(T.sum(1))."""
+    """``||sum_m E_m E_m^dagger - I||_F``; zero iff the channel fixes I/d.  For a dilation channel the sum is
+    diag(T.sum(1)), for a Weyl channel ``(sum p) I``."""
     if ch.transition is not None:
         return float(np.linalg.norm(ch.transition.sum(axis=1) - 1.0))
+    if ch.weights is not None:
+        return _weight_deficit(ch)
     acc = (ch.stack @ _dagger(ch.stack)).sum(axis=0)
     return frobenius_distance(acc, np.eye(ch.d))
 
@@ -213,7 +269,8 @@ def weyl_channel(weights, *, tol: Tolerances = DEFAULT_TOLERANCES) -> QuantumCha
     makes the channel exactly trace-preserving since every Weyl element is
     unitary.  Non-finite weights are rejected and zero-weight elements are
     omitted.  The uniform table ``p = 1/d**2`` gives the completely
-    depolarizing channel ``rho -> I/d``.
+    depolarizing channel ``rho -> I/d``.  The channel holds the Kraus stack
+    and the read-only table ``weights = p`` with the omitted entries zeroed.
     """
     p = np.asarray(weights)
     if p.dtype.kind == "c":
@@ -229,7 +286,7 @@ def weyl_channel(weights, *, tol: Tolerances = DEFAULT_TOLERANCES) -> QuantumCha
     if not np.logical_or.reduce(keep, axis=None):
         raise DomainError("all weights prune to zero")
     stack = _weyl_stack(d, *keep.nonzero(), np.sqrt(p[keep]))
-    return QuantumChannel._made(d, len(stack), stack)
+    return QuantumChannel._made(d, len(stack), stack, weights=p * keep)
 
 
 def channel_from_dilation(g: GammaTable, *, tol: Tolerances = DEFAULT_TOLERANCES) -> QuantumChannel:
@@ -268,13 +325,20 @@ def choi_matrix(ch: QuantumChannel) -> np.ndarray:
     Computed as ``sum_m vec(E_m) vec(E_m)^dagger`` with row-outer vec, which
     places the system-output factor on the left: one product ``K^T conj(K)``
     of the (m, d**2) matrix K whose rows are the vecs.  For a dilation
-    channel every vec has one nonzero entry, so J is ``diag(T.ravel())``.
+    channel every vec has one nonzero entry, so J is ``diag(T.ravel())``;
+    for a Weyl channel J is the scatter ``J[flat[l, i], flat[l, j]] = q[l, i - j]``.
     J is Hermitian and positive semidefinite; its trace equals d exactly when
     the channel is trace-preserving, and it is invariant under unitary mixing
     of the Kraus list.
     """
     if ch.transition is not None:
         return np.diag(ch.transition.ravel().astype(np.complex128))
+    if ch.weights is not None:
+        d = ch.d
+        _, choi_pos, mult = _weight_tables(d)
+        j = np.zeros((d * d, d * d), dtype=np.complex128)
+        j.reshape(-1)[choi_pos] = ch.weights @ mult
+        return j
     k = ch.stack.reshape(len(ch), ch.d * ch.d)
     return k.T @ k.conj()
 

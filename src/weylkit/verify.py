@@ -140,7 +140,7 @@ def run_verification(
 
 
 def _kraus_form(ch: QuantumChannel) -> QuantumChannel:
-    """The channel as its Kraus list, so a check also runs the operators sliced from the isometry."""
+    """The channel as its Kraus list, so a check also runs the operators behind a closed form."""
     return QuantumChannel(d=ch.d, kraus=ch.stack)
 
 
@@ -194,9 +194,11 @@ def _checks_for_dim(d, rng, draws, inject_fault):
 
     def depolarizing_limit():
         uniform = weyl_channel(np.full((d, d), 1.0 / (d * d)))
+        forms = (uniform, _kraus_form(uniform))  # the weight table, and its Kraus list as the reference
         maxmix = np.eye(d) / d
         for _ in range(draws):
-            yield frobenius_distance(apply_channel(uniform, random_density(d, rng)), maxmix)
+            rho = random_density(d, rng)
+            yield from (frobenius_distance(apply_channel(form, rho), maxmix) for form in forms)
 
     yield "depolarizing_limit", depolarizing_limit, 1e-10
 

@@ -61,10 +61,10 @@ WRITERS = {
     "choi": (
         lambda: choi_to_json(choi_matrix(CH)),
         '{"convention": "column-stacking", "rows": 4, "cols": 4, "entries": ['
-        "[0.50000000000000011, 0], [0, 0], [0, 0], [0.50000000000000011, 0], "
+        "[0.5, 0], [0, 0], [0, 0], [0.5, 0], "
         "[0, 0], [0.5, 0], [0, 0], [0, 0], "
         "[0, 0], [0, 0], [0.5, 0], [0, 0], "
-        "[0.50000000000000011, 0], [0, 0], [0, 0], [0.50000000000000011, 0]]}",
+        "[0.5, 0], [0, 0], [0, 0], [0.5, 0]]}",
     ),
 }
 
@@ -98,8 +98,8 @@ CLI_GOLDENS = {
     ),
     "channel": (
         ["channel", "--weights", "w", "--rho", "rho"],
-        '{"rows": 2, "cols": 2, "entries": [[0.5, 0], [0, -0.12500000000000003], '
-        "[0, 0.12500000000000003], [0.5, 0]]}\n",
+        '{"rows": 2, "cols": 2, "entries": [[0.5, 0], [0, -0.125], '
+        "[0, 0.125], [0.5, 0]]}\n",
         '{"d": 2, "kraus_count": 3, "trace_preservation_deficit": 0}\n',
     ),
     "choi": (

@@ -1,6 +1,7 @@
-"""The closed form of the dilation channel against its Kraus form.
+"""The closed forms of the dilation and Weyl channels against their Kraus forms.
 
-``channel_from_dilation`` holds the column-stochastic matrix ``transition``.
+``channel_from_dilation`` holds the column-stochastic matrix ``transition``,
+``weyl_channel`` its weight table ``weights``.
 ``QuantumChannel(d=d, kraus=ch.stack)`` is the same channel in Kraus form,
 run by the batched Kraus kernels; over the whole advertised range the two
 forms agree within 1e-12 (a few ULP of quantities of size at most d).
@@ -23,7 +24,9 @@ from weylkit import (
     is_trace_preserving,
     make_isometry,
     replace_tolerance,
+    unitality_deficit,
     weyl_channel,
+    weyl_element,
 )
 from weylkit.rand import random_density, random_gamma
 
@@ -143,3 +146,58 @@ def test_property_factories_are_cptp(d, seed, weyl):
     assert abs(np.trace(j) - d) <= TOL
     assert np.linalg.eigvalsh(j).min() >= -TOL
     apply_channel(ch, random_density(d, rng))  # the output is validated as a state
+
+
+def _weight_table(d, rng, kind):
+    """A random, a sparse (about two thirds zero) or a prune-threshold weight table summing to 1."""
+    p = rng.random((d, d))
+    if kind == "sparse":
+        p[rng.random((d, d)) < 0.67] = 0.0
+        p[rng.integers(d), rng.integers(d)] = 1.0
+    if kind == "prune":  # weights at, just above and just below the threshold sqrt(p * d) >= prune
+        at = PRUNE ** 2 / d
+        tiny = rng.choice(d * d, size=3, replace=False)
+        p.flat[tiny] = 0.0
+        p *= (1.0 - 3 * at) / p.sum()
+        p.flat[tiny] = [at, at * (1 + 1e-6), at * (1 - 1e-6)]
+        return p
+    return p / p.sum()
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(d=st.integers(2, 32), seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["random", "sparse", "prune"]))
+def test_property_weyl_table_matches_kraus_oracle(d, seed, kind):
+    rng = np.random.default_rng(seed)
+    ch = weyl_channel(_weight_table(d, rng, kind))
+    oracle = QuantumChannel(d=d, kraus=ch.stack)
+    assert oracle.weights is None and np.count_nonzero(ch.weights) == len(ch) == len(oracle)
+    rho = random_density(d, rng)
+    assert _max_diff(apply_channel(ch, rho), apply_channel(oracle, rho)) <= TOL
+    assert _max_diff(choi_matrix(ch), choi_matrix(oracle)) <= TOL
+    assert abs(is_trace_preserving(ch)[1] - is_trace_preserving(oracle)[1]) <= TOL
+    assert abs(unitality_deficit(ch) - unitality_deficit(oracle)) <= TOL
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_weyl_table_sign_is_pinned(d):
+    # One conjugation by W = X_1 Z_1, built from its entries: at d >= 3, omega and omega**-1 differ,
+    # so a negated shift or phase in the table forms fails here.
+    p = np.zeros((d, d))
+    p[1, 1] = 1.0
+    ch = weyl_channel(p)
+    w = weyl_element(d, 1, 1)
+    rho = random_density(d, np.random.default_rng(950 + d))
+    assert _max_diff(apply_channel(ch, rho), w @ rho @ w.conj().T) <= TOL
+    assert _max_diff(choi_matrix(ch), np.outer(w.ravel(), w.ravel().conj())) <= TOL
+
+
+def test_weight_table_is_read_only_and_held_by_weyl_channels_alone():
+    rng = np.random.default_rng(960)
+    p = _weight_table(3, rng, "prune")
+    ch = weyl_channel(p)
+    assert ch.weights.dtype == np.float64 and not ch.weights.flags.writeable
+    assert np.array_equal(ch.weights, np.where(np.sqrt(p * 3) >= PRUNE, p, 0.0))
+    with pytest.raises(ValueError):
+        ch.weights[0, 0] = 1.0
+    assert channel_from_dilation(random_gamma(3, rng)).weights is None
+    assert QuantumChannel(d=3, kraus=ch.stack).weights is None
