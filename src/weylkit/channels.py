@@ -18,37 +18,38 @@ system-output factor on the left of the Kronecker product.  J is Hermitian,
 positive semidefinite, has trace d for trace-preserving channels, and
 identifies the map regardless of which Kraus list produced it.
 
+Every Kraus operator the two factories build lies on one wrapped diagonal
+(``X_l`` times a diagonal), so both channels are shift-and-Schur maps
+(Fukuda & Holevo, "On Weyl-covariant channels", 2006),
+
+    E(rho)[i, j] = sum_l schur[l, i*d + j] rho[i - l, j - l]   (indices mod d),
+
+held as the read-only (d, d**2) table ``schur``, indexed by output position.
 A Weyl channel ``rho -> sum_{l,k} p[l, k] W_lk rho W_lk^dagger`` with
-``W_lk = X_l Z_k`` is a shift-and-Schur map (Fukuda & Holevo, "On
-Weyl-covariant channels", 2006): conjugation by ``W_lk`` multiplies entry
-(i, j) by ``omega**(k*(i - j))`` and moves it along wrapped diagonal l, so
-
-    E(rho)[i, j] = sum_l q[l, i - j] rho[i - l, j - l],
-    q[l, t] = sum_k p[l, k] omega**(k*t)   (q = p F, indices mod d).
-
-The vecs of the d operators that share a shift l live on the same d
-entries ``flat[l, n] = ((n + l) % d) * d + n``, so the Choi matrix is one
-scatter, ``J[flat[l, i], flat[l, j]] = q[l, i - j]``, zero elsewhere.  Every
-``W_lk`` is unitary, so ``sum_m E_m^dagger E_m = sum_m E_m E_m^dagger =
-(sum p) I`` and both completeness deficits are ``|sum p - 1| sqrt(d)``.
-:func:`weyl_channel` keeps its table ``weights`` and runs these forms; the
-Kraus list is built too and stays the reference, which the tests and
-``verify`` compare the table with.
-
+``W_lk = X_l Z_k`` has ``schur[l, i*d + j] = q[l, i - j]``, ``q[l, t] =
+sum_k p[l, k] omega**(k*t)`` (q = p F): conjugation by ``W_lk`` multiplies
+entry (i, j) by ``omega**(k*(i - j))`` and moves it along wrapped diagonal l.
 The dilation channel is classical.  Slot (a, b) holds the rank-one
-``gamma[a, b] |a - 2b><-b|``, so every output is diagonal,
-``rho -> diag(T diag(rho))`` with the column-stochastic
-``T[a - 2b, -b] = |gamma[a, b]|**2``: measure in the computational basis,
-then prepare (an entanglement-breaking channel).  The dilation factory keeps
-that matrix and builds the Kraus list only when it is read; the Kraus form
-stays the reference, and the tests compare the closed form with it.
+``gamma[a, b] |a - 2b><-b|``, so its table is zero off the diagonal outputs,
+``schur[l, i*(d + 1)] = |gamma[2l - i, l - i]|**2``: every output is
+diagonal, ``rho -> diag(T diag(rho))`` with the column-stochastic
+``T[i, i - l] = schur[l, i*(d + 1)]``, a measure-and-prepare
+(entanglement-breaking) channel.
+
+One table gives every form.  The Choi matrix is the scatter
+``J[i*d + i - l, j*d + j - l] = schur[l, i*d + j]``, zero elsewhere.  With
+``D[l, i] = Re schur[l, i*(d + 1)]``, both completeness sums are diagonal:
+``sum_m E_m E_m^dagger`` is ``diag(sum_l D[l, i])`` and ``sum_m
+E_m^dagger E_m`` is ``diag(sum_l D[l, c + l])``.  The Kraus list stays the
+reference that the tests and ``verify`` compare the table with:
+:func:`weyl_channel` builds it too, and :func:`channel_from_dilation` builds
+it when it is first read.
 """
 
 from __future__ import annotations
 
-import math
 from functools import cached_property, lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -57,6 +58,7 @@ from .dilation import GammaTable, make_isometry
 from .errors import DomainError, ParseError, ShapeError, ValidationError
 from .numerics import (
     _check_weights,
+    _norm,
     _require_finite,
     as_matrix,
     frobenius_distance,
@@ -99,16 +101,12 @@ class QuantumChannel:
     :func:`weyl_channel` builds its stack fresh and finite, and the channel
     takes it over without a copy or a second check.
 
-    :func:`weyl_channel` also holds its pruned (d, d) float64 weight table
-    ``weights`` (p), and runs from it (see the module docstring):
-    ``apply_channel`` sums ``q[l, i - j] rho[i - l, j - l]`` over l with
-    ``q = p F``, ``choi_matrix`` scatters ``J[flat[l, i], flat[l, j]] =
-    q[l, i - j]`` into zeros, and both deficits are ``|sum p - 1| sqrt(d)``.
-    :func:`channel_from_dilation` holds the stochastic matrix ``transition``
-    instead.  Each field is None on a channel that does not hold it, and on
-    every Kraus list.  A dilation channel's ``stack`` and ``kraus`` are
-    built on first access and cached, and ``len(ch)`` counts the Kraus
-    operators without building them.
+    A factory channel also holds its read-only (d, d**2) complex128
+    shift-and-Schur table ``schur`` (see the module docstring), and
+    ``apply_channel``, ``choi_matrix`` and both deficits run from it;
+    ``schur`` is None on every Kraus list.  A dilation channel's ``stack``
+    and ``kraus`` are built on first access and cached, and ``len(ch)``
+    counts the Kraus operators without building them.
     A channel is immutable: setting or deleting an attribute raises
     AttributeError.
     """
@@ -133,18 +131,17 @@ class QuantumChannel:
         self._hold(d, len(stack), stack)
 
     @classmethod
-    def _made(cls, d: int, count: int, stack=None, transition=None, build=None, weights=None) -> "QuantumChannel":
-        """A factory's channel: a fresh, finite (m, d, d) complex128 ``stack``, held without a copy (with the
-        weight table it was built from, if any), or the stochastic matrix ``transition`` with ``build()``
-        returning such a stack of its Kraus form."""
+    def _made(cls, d: int, count: int, stack=None, schur=None, build=None) -> "QuantumChannel":
+        """A factory's channel: a fresh, finite (m, d, d) complex128 ``stack``, held without a copy, or
+        ``build()`` returning such a stack, with the table ``schur`` of the same channel."""
         ch = cls.__new__(cls)
-        ch._hold(d, count, stack, transition, build, weights)
+        ch._hold(d, count, stack, schur, build)
         return ch
 
-    def _hold(self, d: int, count: int, stack, transition=None, build=None, weights=None) -> None:
+    def _hold(self, d: int, count: int, stack, schur=None, build=None) -> None:
         """Make the arrays read-only and set the fields once; the channel cannot be changed afterwards."""
-        fields = dict(d=d, _count=count, transition=transition, weights=weights, _build=build)
-        for name, a in (("stack", stack), ("transition", transition), ("weights", weights)):
+        fields = dict(d=d, _count=count, schur=schur, _build=build)
+        for name, a in (("stack", stack), ("schur", schur)):
             if a is not None:
                 a.setflags(write=False)
                 fields[name] = a  # a held stack shadows the cached property that builds one
@@ -178,35 +175,41 @@ def _dagger(stack: np.ndarray) -> np.ndarray:
     return stack.conj().transpose(0, 2, 1)
 
 
+class _SchurTables(NamedTuple):
+    """Read-only index and phase tables of the shift-and-Schur forms at one dimension."""
+
+    shifted: np.ndarray  # shifted[l, i*d + j] = ((i - l) % d) * d + (j - l) % d, where rho[i - l, j - l] sits
+    choi_pos: np.ndarray  # choi_pos[l, i*d + j], the flat position of J[i*d + i - l, j*d + j - l]
+    mult: np.ndarray  # mult[k, i*d + j] = omega**(k*(i - j)), so p @ mult is a Weyl channel's table
+    diagonal: np.ndarray  # diagonal[l, n], the flat position of schur[l, ((n + l) % d) * (d + 1)], input n's output
+
+
 @lru_cache(maxsize=_MEMO_DIMS)
-def _weight_tables(d: int) -> tuple:
-    """Read-only (d, d**2) tables of the Weyl channel forms, d**3 entries each, at row l and column i*d + j.
-
-    ``shifted = ((i - l) % d) * d + (j - l) % d`` (where ``rho[i - l, j - l]`` sits in the flattened state),
-    ``choi_pos = flat[l, i] * d**2 + flat[l, j]`` (its Choi entry) and, at row k, ``mult = omega**(k*(i - j))``,
-    read from the cached roots so quarter turns are exact; ``weights @ mult`` is q at ``[l, i*d + j]``.
-    """
+def _schur_tables(d: int) -> _SchurTables:
+    """The tables at d, three of d**3 entries and one of d**2; the phases are read from the cached roots, so
+    quarter turns are exact."""
     n = np.arange(d)
-    c = dim_constants(d)
-    back = c.rows[-n % d]  # back[l, n] = (n - l) % d
+    rows = dim_constants(d).rows
+    back = rows[-n % d]  # back[l, n] = (n - l) % d
     shifted = back[:, :, None] * d + back[:, None, :]
-    choi_pos = c.flat[:, :, None] * (d * d) + c.flat[:, None, :]
+    out = n * d + back  # out[l, i] = i*d + (i - l) % d, the Choi row of output i reached by shift l
+    choi_pos = out[:, :, None] * (d * d) + out[:, None, :]
     mult = _roots(d)[n[:, None, None] * ((n[:, None] - n) % d) % d]
-    return tuple(_frozen(a.reshape(d, d * d)) for a in (shifted, choi_pos, mult))
+    diagonal = n[:, None] * (d * d) + rows * (d + 1)
+    return _SchurTables(*(_frozen(a.reshape(d, -1)) for a in (shifted, choi_pos, mult, diagonal)))
 
 
-def _weight_deficit(ch: QuantumChannel) -> float:
-    """``||(sum p) I - I||_F = |sum p - 1| sqrt(d)``, both completeness deficits of a Weyl channel."""
-    return abs(float(np.add.reduce(ch.weights, axis=None)) - 1.0) * math.sqrt(ch.d)
+def _diagonal_deficit(terms: np.ndarray) -> float:
+    """``||diag(sum_l terms[l]) - I||_F``, a completeness deficit from its (d, d) diagonal terms, row l per shift."""
+    return _norm(np.add.reduce(terms.real, axis=0) - 1.0)
 
 
 def apply_channel(ch: QuantumChannel, rho, *, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     """Evolve a density matrix: ``sum_m E_m rho E_m^dagger``.
 
-    A dilation channel computes ``diag(T diag(rho))``, a Weyl channel
-    ``sum_l q[l, i - j] rho[i - l, j - l]`` from its weight table.  A Kraus
-    list is summed in list order (a reduction over the first axis of the
-    stack), so results are deterministic.
+    A factory channel sums ``schur[l, i*d + j] rho[i - l, j - l]`` over l
+    in order, from its table.  A Kraus list is summed in list order (a
+    reduction over the first axis of the stack), so results are deterministic.
     Every call validates its input and its output once each with
     :func:`validate_density_matrix` (a diagonal output, as every dilation
     output is, through its diagonal) and keeps nothing between calls.  A
@@ -217,12 +220,8 @@ def apply_channel(ch: QuantumChannel, rho, *, tol: Tolerances = DEFAULT_TOLERANC
     d = ch.d
     if rho.shape[0] != d:
         raise ShapeError(f"state dimension {rho.shape[0]} does not match channel dimension {d}")
-    if ch.transition is not None:
-        out = np.zeros((d, d), dtype=np.complex128)
-        out.reshape(-1)[:: d + 1] = ch.transition @ rho.diagonal()
-    elif ch.weights is not None:
-        shifted, _, mult = _weight_tables(d)
-        out = np.add.reduce((ch.weights @ mult) * rho.reshape(-1)[shifted], axis=0).reshape(d, d)
+    if ch.schur is not None:
+        out = np.add.reduce(ch.schur * rho.reshape(-1)[_schur_tables(d).shifted], axis=0).reshape(d, d)
     else:
         k = ch.stack  # K rho as one (m d, d) x (d, d) product
         out = np.add.reduce((k.reshape(-1, d) @ rho).reshape(k.shape) @ _dagger(k), axis=0)
@@ -237,14 +236,12 @@ def is_trace_preserving(ch: QuantumChannel, *, tol: Tolerances = DEFAULT_TOLERAN
     """Completeness check: ``(ok, deficit)``.
 
     ``deficit = ||sum_m E_m^dagger E_m - I||_F`` and ``ok`` holds iff it is
-    below ``tol.cptp``.  For a dilation channel that sum is
-    ``diag(column sums of T)``, for a Weyl channel ``(sum p) I``.  The dual
+    below ``tol.cptp``.  For a factory channel that sum is
+    ``diag(sum_l D[l, c + l])`` with ``D[l, i] = Re schur[l, i*(d + 1)]``.  The dual
     condition (unitality) is measured separately by :func:`unitality_deficit`.
     """
-    if ch.transition is not None:
-        deficit = float(np.linalg.norm(ch.transition.sum(axis=0) - 1.0))
-    elif ch.weights is not None:
-        deficit = _weight_deficit(ch)
+    if ch.schur is not None:
+        deficit = _diagonal_deficit(ch.schur.reshape(-1)[_schur_tables(ch.d).diagonal])
     else:
         acc = (_dagger(ch.stack) @ ch.stack).sum(axis=0)
         deficit = frobenius_distance(acc, np.eye(ch.d))
@@ -252,12 +249,10 @@ def is_trace_preserving(ch: QuantumChannel, *, tol: Tolerances = DEFAULT_TOLERAN
 
 
 def unitality_deficit(ch: QuantumChannel) -> float:
-    """``||sum_m E_m E_m^dagger - I||_F``; zero iff the channel fixes I/d.  For a dilation channel the sum is
-    diag(T.sum(1)), for a Weyl channel ``(sum p) I``."""
-    if ch.transition is not None:
-        return float(np.linalg.norm(ch.transition.sum(axis=1) - 1.0))
-    if ch.weights is not None:
-        return _weight_deficit(ch)
+    """``||sum_m E_m E_m^dagger - I||_F``; zero iff the channel fixes I/d.  For a factory channel the sum is
+    ``diag(sum_l D[l, i])`` with ``D[l, i] = Re schur[l, i*(d + 1)]``."""
+    if ch.schur is not None:
+        return _diagonal_deficit(ch.schur[:, :: ch.d + 1])
     acc = (ch.stack @ _dagger(ch.stack)).sum(axis=0)
     return frobenius_distance(acc, np.eye(ch.d))
 
@@ -270,7 +265,8 @@ def weyl_channel(weights, *, tol: Tolerances = DEFAULT_TOLERANCES) -> QuantumCha
     unitary.  Non-finite weights are rejected and zero-weight elements are
     omitted.  The uniform table ``p = 1/d**2`` gives the completely
     depolarizing channel ``rho -> I/d``.  The channel holds the Kraus stack
-    and the read-only table ``weights = p`` with the omitted entries zeroed.
+    and the table ``schur[l, i*d + j] = q[l, i - j]`` of the weights with the
+    omitted entries zeroed.
     """
     p = np.asarray(weights)
     if p.dtype.kind == "c":
@@ -286,7 +282,7 @@ def weyl_channel(weights, *, tol: Tolerances = DEFAULT_TOLERANCES) -> QuantumCha
     if not np.logical_or.reduce(keep, axis=None):
         raise DomainError("all weights prune to zero")
     stack = _weyl_stack(d, *keep.nonzero(), np.sqrt(p[keep]))
-    return QuantumChannel._made(d, len(stack), stack, weights=p * keep)
+    return QuantumChannel._made(d, len(stack), stack, (p * keep) @ _schur_tables(d).mult)
 
 
 def channel_from_dilation(g: GammaTable, *, tol: Tolerances = DEFAULT_TOLERANCES) -> QuantumChannel:
@@ -295,10 +291,10 @@ def channel_from_dilation(g: GammaTable, *, tol: Tolerances = DEFAULT_TOLERANCES
     For every density matrix the result reproduces
     ``partial_trace_env(V rho V^dagger)``.  Environment slot ``(a, b)``
     contributes the rank-one operator ``gamma[a, b] |a - 2b><-b|`` (indices
-    mod d), so the channel is held as the stochastic matrix
-    ``T[a - 2b, -b] = |gamma[a, b]|**2``; the Kraus list, sliced from
+    mod d), so the channel is held as the table ``schur[l, i*(d + 1)] =
+    |gamma[2l - i, l - i]|**2``, zero elsewhere; the Kraus list, sliced from
     ``make_isometry(g)`` with the slots below ``tol.prune`` dropped, is built
-    when first read.  ``T``, ``len(ch)`` and the Kraus list drop the same
+    when first read.  ``schur``, ``len(ch)`` and the Kraus list drop the same
     slots; if every slot is dropped, DomainError is raised.
 
     ``V^dagger V`` is diag(column masses of ``g``), each within ``tol.norm`` of 1;
@@ -306,17 +302,16 @@ def channel_from_dilation(g: GammaTable, *, tol: Tolerances = DEFAULT_TOLERANCES
     """
     d = g.d
     mass = (g.gamma.conj() * g.gamma).real  # the squared norm of slot (a, b)
-    keep = np.sqrt(mass) >= tol.prune  # one mask for T, len(ch) and the Kraus list
+    keep = np.sqrt(mass) >= tol.prune  # one mask for schur, len(ch) and the Kraus list
     if not keep.any():
         raise DomainError("all slots prune to zero")
-    c = dim_constants(d)  # T[l - z, -z] = mass[z + l, z]: T at flat[l, n] reads mass at flat[l, -n]
-    t = np.empty((d, d))
-    t.reshape(-1)[c.flat] = (mass * keep).reshape(-1)[c.flat_neg]
+    schur = np.zeros((d, d * d), dtype=np.complex128)  # input n reaches output n + l from slot flat_neg[l, n]
+    schur.reshape(-1)[_schur_tables(d).diagonal] = (mass * keep).reshape(-1)[dim_constants(d).flat_neg]
 
     def kraus():  # E_m[r, c] = V[r * d**2 + m, c]; slot m = a * d + b is kept where keep[a, b]
         return make_isometry(g).reshape(d, d * d, d).transpose(1, 0, 2)[keep.reshape(-1)]
 
-    return QuantumChannel._made(d, np.count_nonzero(keep), transition=t, build=kraus)
+    return QuantumChannel._made(d, np.count_nonzero(keep), schur=schur, build=kraus)
 
 
 def choi_matrix(ch: QuantumChannel) -> np.ndarray:
@@ -324,20 +319,16 @@ def choi_matrix(ch: QuantumChannel) -> np.ndarray:
 
     Computed as ``sum_m vec(E_m) vec(E_m)^dagger`` with row-outer vec, which
     places the system-output factor on the left: one product ``K^T conj(K)``
-    of the (m, d**2) matrix K whose rows are the vecs.  For a dilation
-    channel every vec has one nonzero entry, so J is ``diag(T.ravel())``;
-    for a Weyl channel J is the scatter ``J[flat[l, i], flat[l, j]] = q[l, i - j]``.
+    of the (m, d**2) matrix K whose rows are the vecs.  For a factory channel
+    J is the scatter ``J[i*d + i - l, j*d + j - l] = schur[l, i*d + j]``.
     J is Hermitian and positive semidefinite; its trace equals d exactly when
     the channel is trace-preserving, and it is invariant under unitary mixing
     of the Kraus list.
     """
-    if ch.transition is not None:
-        return np.diag(ch.transition.ravel().astype(np.complex128))
-    if ch.weights is not None:
+    if ch.schur is not None:
         d = ch.d
-        _, choi_pos, mult = _weight_tables(d)
         j = np.zeros((d * d, d * d), dtype=np.complex128)
-        j.reshape(-1)[choi_pos] = ch.weights @ mult
+        j.reshape(-1)[_schur_tables(d).choi_pos] = ch.schur
         return j
     k = ch.stack.reshape(len(ch), ch.d * ch.d)
     return k.T @ k.conj()

@@ -197,7 +197,7 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_dilate(args) -> int:
-    from .dilation import _weyl_form_arrays, evolve_density, evolve_pure, json_to_gamma
+    from .dilation import env_gram, evolve_density, evolve_pure, json_to_gamma
 
     g = json_to_gamma(_read_text(args.gamma), tol=args.tol)
     _check_d(g.d)
@@ -216,9 +216,9 @@ def _cmd_dilate(args) -> int:
         _emit(args, joint[:, None])
         summary.append(("joint_norm", format_float(float(np.linalg.norm(joint)))))
         if args.weyl_norms:
-            env = _weyl_form_arrays(psi, g)[1]  # row l*d + k is v_lk; evolve_pure validated psi
-            norms = ((f"{i // g.d},{i % g.d}", format_float(float(np.linalg.norm(v)))) for i, v in enumerate(env))
-            summary.append(("env_term_norms", json_object(norms)))
+            norms = np.sqrt(env_gram(g).diagonal(axis1=1, axis2=2).real)  # ||v_lk||**2 = <v_lk, v_lk>
+            pairs = ((f"{l},{k}", format_float(n)) for (l, k), n in np.ndenumerate(norms))
+            summary.append(("env_term_norms", json_object(pairs)))
     _summary(summary)
     return EXIT_OK
 

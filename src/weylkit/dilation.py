@@ -34,7 +34,8 @@ Tracing the environment out of that evolution leaves a classical channel:
 ``V|i>`` puts ``|i + l>`` with amplitude ``gamma[l - i, -i]`` next to
 orthogonal environment states, so the output is diagonal,
 ``rho -> diag(T diag(rho))`` with ``T[i + l, i] = |gamma[l - i, -i]|**2``.
-``channels.channel_from_dilation`` holds the channel in that form.
+``channels.channel_from_dilation`` holds T on the diagonal of its
+shift-and-Schur table.
 """
 
 from __future__ import annotations

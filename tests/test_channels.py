@@ -355,7 +355,7 @@ class TestQuantumChannelType:
         gamma = GammaTable(np.eye(2, dtype=complex))
         weights = np.full((2, 2), 0.25)
         for ch in (QuantumChannel(d=2, kraus=(np.eye(2),)), channel_from_dilation(gamma), weyl_channel(weights)):
-            for name in ("d", "stack", "transition", "_count"):
+            for name in ("d", "stack", "schur", "_count"):
                 with pytest.raises(AttributeError, match="immutable"):
                     setattr(ch, name, None)
                 with pytest.raises(AttributeError, match="immutable"):

@@ -19,6 +19,7 @@ from weylkit import (
     validate_density_matrix,
     vector_to_json,
     weyl_element,
+    weyl_form_of_joint,
 )
 from weylkit.cli import run
 from weylkit.rand import random_complex_matrix, random_density, random_gamma
@@ -164,6 +165,20 @@ class TestDilateCommand:
         assert set(summary["env_term_norms"]) == {"0,0", "0,1", "1,0", "1,1"}
         for value in summary["env_term_norms"].values():
             assert abs(value - 1.0) < 1e-12
+
+    def test_weyl_norms_are_the_env_vector_norms(self, tmp_path):
+        # ||v_lk|| depends on l alone; the summary lists it l-major, within 2 ulp of the vectors' own norms.
+        g = random_gamma(3, RNG)
+        psi = np.array([0.6, 0.8j, 0.0])
+        gamma = write(tmp_path / "g.json", gamma_to_json(g))
+        state = write(tmp_path / "psi.json", vector_to_json(psi))
+        res = run_cli("dilate", "--gamma", gamma, "--state", state, "--weyl-norms")
+        assert res.returncode == 0
+        norms = json.loads(res.stderr)["env_term_norms"]
+        terms = weyl_form_of_joint(psi, g)
+        assert list(norms) == [f"{t.l},{t.k}" for t in terms]
+        for t in terms:
+            assert abs(norms[f"{t.l},{t.k}"] - np.linalg.norm(t.env)) <= 4.5e-16 * np.linalg.norm(t.env)
 
     def test_density_output_is_valid_on_reload(self, tmp_path):
         gamma = write(tmp_path / "g.json", gamma_to_json(random_gamma(2, RNG)))

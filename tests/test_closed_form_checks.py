@@ -339,12 +339,18 @@ def test_dilation_output_is_checked_from_its_diagonal_as_the_reference(d):
     rng = _rng(d)
     p = rng.random(d)
     p /= p.sum()
+    l, i = np.indices((d, d))
     # The second state has imaginary parts within tol.herm on its diagonal, so its outputs do too.
     for rho in (np.diag(p + 0j), np.diag(p + 1e-12j * rng.random(d))):
         for t in _transition_cases(d, rng):
-            ch = QuantumChannel._made(d, d, transition=t.copy())
-            with np.errstate(all="ignore"):  # T @ diag(rho) with an inf or NaN in T
-                diag = t @ np.diagonal(rho)
+            schur = np.zeros((d, d * d), dtype=np.complex128)
+            schur[l, i * (d + 1)] = t[i, (i - l) % d]  # the dilation table of T
+            ch = QuantumChannel._made(d, d, schur=schur)
+            with np.errstate(all="ignore"):  # T times diag(rho) with an inf or NaN in T
+                x = np.diagonal(rho)
+                diag = schur[0, :: d + 1] * x  # sum_l T[i, i - l] rho[i - l, i - l], in l order
+                for shift in range(1, d):
+                    diag = diag + schur[shift, :: d + 1] * np.roll(x, shift)
                 want = _outcome(ref_check, np.diag(diag))
                 try:
                     got = "ok", apply_channel(ch, rho).tobytes()

@@ -126,8 +126,13 @@ def test_transition_matches_the_indices_formula(d):
     gamma /= np.linalg.norm(gamma, axis=0)
     g = GammaTable(gamma)
     ch = channel_from_dilation(g)
-    assert ch.transition.tobytes() == ref_transition(g, DEFAULT_TOLERANCES.prune).tobytes()
-    assert not ch.transition.flags.writeable
+    # The table holds T[i, i - l] at schur[l, i*(d + 1)] and zeros elsewhere.
+    t = ref_transition(g, DEFAULT_TOLERANCES.prune)
+    l, i = np.indices((d, d))
+    want = np.zeros((d, d * d), dtype=np.complex128)
+    want[l, i * (d + 1)] = t[i, (i - l) % d]
+    assert ch.schur.tobytes() == want.tobytes()
+    assert not ch.schur.flags.writeable
 
 
 @pytest.mark.parametrize("d", DIMS)

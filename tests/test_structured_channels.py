@@ -1,7 +1,6 @@
-"""The closed forms of the dilation and Weyl channels against their Kraus forms.
+"""The shift-and-Schur tables of the dilation and Weyl channels against their Kraus forms.
 
-``channel_from_dilation`` holds the column-stochastic matrix ``transition``,
-``weyl_channel`` its weight table ``weights``.
+``channel_from_dilation`` and ``weyl_channel`` hold the (d, d**2) table ``schur``.
 ``QuantumChannel(d=d, kraus=ch.stack)`` is the same channel in Kraus form,
 run by the batched Kraus kernels; over the whole advertised range the two
 forms agree within 1e-12 (a few ULP of quantities of size at most d).
@@ -93,8 +92,8 @@ def test_dilation_count_matches_pruning_at_the_threshold():
     g[:, :2] /= np.linalg.norm(g[:, :2], axis=0)
     ch = channel_from_dilation(GammaTable(g))
     assert len(ch) == len(ch.stack) == 5
-    # A pruned slot contributes nothing to the closed form either.
-    assert np.count_nonzero(ch.transition) == 5
+    # A pruned slot contributes nothing to the table either.
+    assert np.count_nonzero(ch.schur) == 5
 
 
 def _former_dilation_kraus(g):
@@ -123,7 +122,7 @@ def test_closed_form_and_kraus_views_are_read_only():
     rng = np.random.default_rng(900)
     ch = channel_from_dilation(random_gamma(3, rng))
     with pytest.raises(ValueError):
-        ch.transition[0, 0] = 7.0
+        ch.schur[0, 0] = 7.0
     assert ch.stack is ch.stack and not ch.stack.flags.writeable
     assert ch.kraus is ch.kraus and len(ch.kraus) == len(ch)
     with pytest.raises(ValueError):
@@ -164,13 +163,37 @@ def _weight_table(d, rng, kind):
     return p / p.sum()
 
 
+def _prune_gamma(d, rng):
+    """A random gamma table with slots at, just above and (for d >= 3) just below the threshold |gamma| >= prune."""
+    g = random_gamma(d, rng).gamma.copy()
+    levels = PRUNE * np.array([1.0, 1 + 1e-6, 1 - 1e-6])[:d]
+    cols = np.arange(len(levels))
+    g[0, cols] = levels
+    g[1:, cols] *= np.sqrt(1 - levels**2) / np.linalg.norm(g[1:, cols], axis=0)
+    return GammaTable(g)
+
+
+def _factory_channel(d, rng, factory, kind):
+    if factory == "weyl":
+        return weyl_channel(_weight_table(d, rng, kind))
+    make = {"random": random_gamma, "sparse": _sparse_gamma, "prune": _prune_gamma}[kind]
+    return channel_from_dilation(make(d, rng))
+
+
 @settings(max_examples=30, deadline=None, database=None)
-@given(d=st.integers(2, 32), seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["random", "sparse", "prune"]))
-def test_property_weyl_table_matches_kraus_oracle(d, seed, kind):
+@given(
+    d=st.integers(2, 32),
+    seed=st.integers(0, 2**32 - 1),
+    factory=st.sampled_from(["weyl", "dilation"]),
+    kind=st.sampled_from(["random", "sparse", "prune"]),
+)
+def test_property_schur_table_matches_kraus_oracle(d, seed, factory, kind):
     rng = np.random.default_rng(seed)
-    ch = weyl_channel(_weight_table(d, rng, kind))
+    ch = _factory_channel(d, rng, factory, kind)
     oracle = QuantumChannel(d=d, kraus=ch.stack)
-    assert oracle.weights is None and np.count_nonzero(ch.weights) == len(ch) == len(oracle)
+    assert oracle.schur is None and len(ch) == len(oracle)
+    if factory == "dilation":  # one diagonal entry per kept slot, and none for a pruned one
+        assert np.count_nonzero(ch.schur) == len(ch)
     rho = random_density(d, rng)
     assert _max_diff(apply_channel(ch, rho), apply_channel(oracle, rho)) <= TOL
     assert _max_diff(choi_matrix(ch), choi_matrix(oracle)) <= TOL
@@ -191,13 +214,16 @@ def test_weyl_table_sign_is_pinned(d):
     assert _max_diff(choi_matrix(ch), np.outer(w.ravel(), w.ravel().conj())) <= TOL
 
 
-def test_weight_table_is_read_only_and_held_by_weyl_channels_alone():
+def test_schur_table_is_read_only_and_held_by_factory_channels_alone():
     rng = np.random.default_rng(960)
     p = _weight_table(3, rng, "prune")
-    ch = weyl_channel(p)
-    assert ch.weights.dtype == np.float64 and not ch.weights.flags.writeable
-    assert np.array_equal(ch.weights, np.where(np.sqrt(p * 3) >= PRUNE, p, 0.0))
-    with pytest.raises(ValueError):
-        ch.weights[0, 0] = 1.0
-    assert channel_from_dilation(random_gamma(3, rng)).weights is None
-    assert QuantumChannel(d=3, kraus=ch.stack).weights is None
+    weyl, dil = weyl_channel(p), channel_from_dilation(_prune_gamma(4, rng))
+    for ch in (weyl, dil):
+        assert ch.schur.dtype == np.complex128 and ch.schur.shape == (ch.d, ch.d**2)
+        assert not ch.schur.flags.writeable
+        with pytest.raises(ValueError):
+            ch.schur[0, 0] = 1.0
+        assert QuantumChannel(d=ch.d, kraus=ch.stack).schur is None
+    # A pruned weight adds nothing to the table, and a pruned slot leaves its diagonal entry zero.
+    assert weyl.schur.tobytes() == weyl_channel(np.where(np.sqrt(p * 3) >= PRUNE, p, 0.0)).schur.tobytes()
+    assert np.count_nonzero(dil.schur) == len(dil) == 4 * 4 - 1
