@@ -41,13 +41,13 @@ One table gives every form.  The Choi matrix is the scatter
 ``D[l, i] = Re schur[l, i*(d + 1)]``, both completeness sums are diagonal:
 ``sum_m E_m E_m^dagger`` is ``diag(sum_l D[l, i])`` and ``sum_m
 E_m^dagger E_m`` is ``diag(sum_l D[l, c + l])``.  The Kraus list stays the
-reference that the tests and ``verify`` compare the table with:
-:func:`weyl_channel` builds it too, and :func:`channel_from_dilation` builds
-it when it is first read.
+reference that the tests and ``verify`` compare the table with; both
+factories build it when it is first read.
 """
 
 from __future__ import annotations
 
+import math
 from functools import cached_property, lru_cache
 from typing import NamedTuple, Sequence
 
@@ -58,7 +58,6 @@ from .dilation import GammaTable, make_isometry
 from .errors import DomainError, ParseError, ShapeError, ValidationError
 from .numerics import (
     _check_weights,
-    _norm,
     _require_finite,
     as_matrix,
     frobenius_distance,
@@ -98,15 +97,13 @@ class QuantumChannel:
     produce trace-preserving channels by construction, and
     :func:`is_trace_preserving` measures the deficit of any channel, so
     deliberately incomplete channels can still be represented and examined.
-    :func:`weyl_channel` builds its stack fresh and finite, and the channel
-    takes it over without a copy or a second check.
 
-    A factory channel also holds its read-only (d, d**2) complex128
+    A factory channel holds its read-only (d, d**2) complex128
     shift-and-Schur table ``schur`` (see the module docstring), and
     ``apply_channel``, ``choi_matrix`` and both deficits run from it;
-    ``schur`` is None on every Kraus list.  A dilation channel's ``stack``
-    and ``kraus`` are built on first access and cached, and ``len(ch)``
-    counts the Kraus operators without building them.
+    ``schur`` is None on every Kraus list.  Both factories build ``stack``
+    and ``kraus`` on first access and cache them, and ``len(ch)`` counts
+    the Kraus operators without building them.
     A channel is immutable: setting or deleting an attribute raises
     AttributeError.
     """
@@ -128,24 +125,17 @@ class QuantumChannel:
         if not len(stack):
             raise DomainError("a channel needs at least one Kraus operator")
         _require_finite(stack, "Kraus operator")
-        self._hold(d, len(stack), stack)
+        stack.setflags(write=False)
+        vars(self).update(d=d, _count=len(stack), schur=None, stack=stack)  # shadows the cached property
 
     @classmethod
-    def _made(cls, d: int, count: int, stack=None, schur=None, build=None) -> "QuantumChannel":
-        """A factory's channel: a fresh, finite (m, d, d) complex128 ``stack``, held without a copy, or
-        ``build()`` returning such a stack, with the table ``schur`` of the same channel."""
+    def _made(cls, d: int, count: int, schur: np.ndarray, build=None) -> "QuantumChannel":
+        """A factory's channel: its table ``schur`` and ``build()``, which returns the fresh, finite (m, d, d)
+        complex128 Kraus stack of the same channel when the stack is first read."""
+        schur.setflags(write=False)
         ch = cls.__new__(cls)
-        ch._hold(d, count, stack, schur, build)
+        vars(ch).update(d=d, _count=count, schur=schur, _build=build)  # set once, past __setattr__
         return ch
-
-    def _hold(self, d: int, count: int, stack, schur=None, build=None) -> None:
-        """Make the arrays read-only and set the fields once; the channel cannot be changed afterwards."""
-        fields = dict(d=d, _count=count, schur=schur, _build=build)
-        for name, a in (("stack", stack), ("schur", schur)):
-            if a is not None:
-                a.setflags(write=False)
-                fields[name] = a  # a held stack shadows the cached property that builds one
-        vars(self).update(fields)  # past __setattr__
 
     def __setattr__(self, name, value):
         raise AttributeError("QuantumChannel is immutable")
@@ -201,7 +191,8 @@ def _schur_tables(d: int) -> _SchurTables:
 
 def _diagonal_deficit(terms: np.ndarray) -> float:
     """``||diag(sum_l terms[l]) - I||_F``, a completeness deficit from its (d, d) diagonal terms, row l per shift."""
-    return _norm(np.add.reduce(terms.real, axis=0) - 1.0)
+    v = np.add.reduce(terms.real, axis=0) - 1.0
+    return math.sqrt(v.dot(v))
 
 
 def apply_channel(ch: QuantumChannel, rho, *, tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
@@ -264,9 +255,9 @@ def weyl_channel(weights, *, tol: Tolerances = DEFAULT_TOLERANCES) -> QuantumCha
     makes the channel exactly trace-preserving since every Weyl element is
     unitary.  Non-finite weights are rejected and zero-weight elements are
     omitted.  The uniform table ``p = 1/d**2`` gives the completely
-    depolarizing channel ``rho -> I/d``.  The channel holds the Kraus stack
-    and the table ``schur[l, i*d + j] = q[l, i - j]`` of the weights with the
-    omitted entries zeroed.
+    depolarizing channel ``rho -> I/d``.  The channel holds the table
+    ``schur[l, i*d + j] = q[l, i - j]`` of the weights with the omitted
+    entries zeroed, and builds its Kraus list when it is first read.
     """
     p = np.asarray(weights)
     if p.dtype.kind == "c":
@@ -281,8 +272,9 @@ def weyl_channel(weights, *, tol: Tolerances = DEFAULT_TOLERANCES) -> QuantumCha
     keep = np.sqrt(p * d) >= tol.prune
     if not np.logical_or.reduce(keep, axis=None):
         raise DomainError("all weights prune to zero")
-    stack = _weyl_stack(d, *keep.nonzero(), np.sqrt(p[keep]))
-    return QuantumChannel._made(d, len(stack), stack, (p * keep) @ _schur_tables(d).mult)
+    l, k = keep.nonzero()
+    schur = (p * keep) @ _schur_tables(d).mult
+    return QuantumChannel._made(d, len(l), schur, build=lambda: _weyl_stack(d, l, k, np.sqrt(p[keep])))
 
 
 def channel_from_dilation(g: GammaTable, *, tol: Tolerances = DEFAULT_TOLERANCES) -> QuantumChannel:
@@ -311,7 +303,7 @@ def channel_from_dilation(g: GammaTable, *, tol: Tolerances = DEFAULT_TOLERANCES
     def kraus():  # E_m[r, c] = V[r * d**2 + m, c]; slot m = a * d + b is kept where keep[a, b]
         return make_isometry(g).reshape(d, d * d, d).transpose(1, 0, 2)[keep.reshape(-1)]
 
-    return QuantumChannel._made(d, np.count_nonzero(keep), schur=schur, build=kraus)
+    return QuantumChannel._made(d, np.count_nonzero(keep), schur, build=kraus)
 
 
 def choi_matrix(ch: QuantumChannel) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 from .channels import QuantumChannel, apply_channel, channel_from_dilation, is_trace_preserving, weyl_channel
 from .config import D_MAX, D_MIN, DEFAULT_SEED, JOINT_BYTES_MAX
 from .dilation import _weyl_form_arrays, env_gram, evolve_density, make_isometry
-from .errors import DomainError, WeylkitError
+from .errors import DomainError
 from .numerics import (
     basis_ket,
     frobenius_distance,
@@ -104,8 +104,9 @@ def run_verification(
     No check builds a dense joint over ``JOINT_BYTES_MAX`` (d > 12); ``kraus_vs_partial_trace`` traces the regrouping.
     ``draws`` (at least 1) controls how many random objects each randomized check uses; a check's
     residual is the maximum over everything it measures, and a NaN anywhere makes it NaN and fails.
-    A ``WeylkitError`` raised while a check measures (a broken kernel) makes that check's residual NaN,
-    and the suite goes on with the next check.
+    A ``ValueError`` (a ``WeylkitError`` or numpy's ``LinAlgError`` among them), ``IndexError``, ``TypeError`` or
+    ``ArithmeticError`` raised while a check measures (a broken kernel) makes that check's residual NaN, and
+    the suite goes on with the next check; a ``MemoryError`` propagates.
     ``inject_fault`` deliberately corrupts one basis phase before the
     orthogonality check, as a self-test that the suite can fail.
     """
@@ -127,7 +128,7 @@ def run_verification(
             start = time.perf_counter()
             try:
                 value = float(np.max(np.fromiter(residual(), dtype=np.float64)))  # np.max keeps a NaN
-            except WeylkitError:
+            except (ValueError, IndexError, TypeError, ArithmeticError):
                 value = float("nan")
             elapsed = time.perf_counter() - start
             results.append(

@@ -192,8 +192,11 @@ class TestFreshKrausStack:
 
     def test_takes_the_stack_without_copying(self):
         stack = np.stack([np.eye(2, dtype=np.complex128)])
-        ch = QuantumChannel._made(2, 1, stack)
-        assert ch.stack is stack and not stack.flags.writeable and len(ch) == 1
+        schur = np.zeros((2, 4), dtype=np.complex128)
+        schur[0] = np.eye(2).ravel()  # the identity channel's table
+        ch = QuantumChannel._made(2, 1, schur, build=lambda: stack)
+        assert "stack" not in vars(ch) and stack.flags.writeable and len(ch) == 1
+        assert ch.stack is stack and not stack.flags.writeable and ch.stack is ch.stack
 
 
 def ref_weyl_weight_checks(p, tol=DEFAULT_TOLERANCES):
@@ -241,10 +244,12 @@ def test_unitality_deficit_of_a_dilation_channel_in_closed_form(d):
     gamma[rng.random((d, d)) < 0.3] = 0.0  # pruned slots
     gamma[0, 1] = 1e-20  # nonzero, but below the prune threshold
     gamma /= np.linalg.norm(gamma, axis=0)
-    ch = channel_from_dilation(GammaTable(gamma))
-    got = unitality_deficit(ch)
-    assert "stack" not in vars(ch)
-    assert abs(got - unitality_deficit(QuantumChannel(d=d, kraus=ch.stack))) <= 1e-12
+    p = rng.random((d, d))
+    p[0, 1] = 0.0  # and a Weyl channel with a pruned weight, whose Kraus list is built lazily too
+    for ch in (channel_from_dilation(GammaTable(gamma)), weyl_channel(p / p.sum())):
+        got = unitality_deficit(ch)
+        assert "stack" not in vars(ch) and "kraus" not in vars(ch)
+        assert abs(got - unitality_deficit(QuantumChannel(d=d, kraus=ch.stack))) <= 1e-12
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -28,6 +28,7 @@ from weylkit import (
     weyl_element,
 )
 from weylkit.rand import random_density, random_gamma
+from weylkit.weyl import _weyl_stack
 
 DIMS = range(2, 33)
 TOL = 1e-12
@@ -43,7 +44,14 @@ def _sparse_gamma(d, rng):
 
 
 def _channels(d, rng):
-    return [channel_from_dilation(random_gamma(d, rng)), channel_from_dilation(_sparse_gamma(d, rng))]
+    p = rng.random((d, d))
+    p[rng.random((d, d)) < 0.3] = 0.0  # pruned weights
+    p[0, 0] = 1.0
+    return [
+        channel_from_dilation(random_gamma(d, rng)),
+        channel_from_dilation(_sparse_gamma(d, rng)),
+        weyl_channel(p / p.sum()),
+    ]
 
 
 def _max_diff(a, b):
@@ -55,17 +63,20 @@ def test_closed_forms_match_kraus_oracle(d):
     rng = np.random.default_rng(500 + d)
     rho = random_density(d, rng)
     for ch in _channels(d, rng):
+        # Neither construction, the count nor the closed-form kernels build the Kraus stack.
+        assert "stack" not in vars(ch)
         count = len(ch)
         out = apply_channel(ch, rho)
         _, deficit = is_trace_preserving(ch)
         choi = choi_matrix(ch)
-        # Neither the count nor the closed-form kernels build the Kraus stack.
-        assert "stack" not in vars(ch)
+        unital = unitality_deficit(ch)
+        assert "stack" not in vars(ch) and "kraus" not in vars(ch)
         oracle = QuantumChannel(d=d, kraus=ch.stack)
         assert count == len(oracle)
         assert _max_diff(out, apply_channel(oracle, rho)) <= TOL
         assert abs(deficit - is_trace_preserving(oracle)[1]) <= TOL
         assert _max_diff(choi, choi_matrix(oracle)) <= TOL
+        assert abs(unital - unitality_deficit(oracle)) <= TOL
 
 
 @pytest.mark.parametrize("d", [2, 5, 16])
@@ -190,7 +201,13 @@ def _factory_channel(d, rng, factory, kind):
 def test_property_schur_table_matches_kraus_oracle(d, seed, factory, kind):
     rng = np.random.default_rng(seed)
     ch = _factory_channel(d, rng, factory, kind)
-    oracle = QuantumChannel(d=d, kraus=ch.stack)
+    stack = ch.stack  # the first read builds it: fresh, read-only and owning its data
+    assert not stack.flags.writeable and stack.flags.owndata and ch.stack is stack
+    if factory == "weyl":
+        p = _weight_table(d, np.random.default_rng(seed), kind)  # the table the channel was made from
+        keep = np.sqrt(p * d) >= PRUNE
+        assert stack.tobytes() == _weyl_stack(d, *keep.nonzero(), np.sqrt(p[keep])).tobytes()
+    oracle = QuantumChannel(d=d, kraus=stack)
     assert oracle.schur is None and len(ch) == len(oracle)
     if factory == "dilation":  # one diagonal entry per kept slot, and none for a pruned one
         assert np.count_nonzero(ch.schur) == len(ch)

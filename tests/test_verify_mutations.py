@@ -5,7 +5,8 @@ would break it (mutation analysis: DeMillo, Lipton & Sayward, "Hints on test
 data selection", 1978).  Under each, ``run_verification`` returns a report
 whose overall status is fail, and ``weylkit verify`` exits 1 with a report
 that parses.  A mutation that makes a kernel raise (such as an output that is
-no longer a state) fails the check it raised in, with a NaN residual.
+no longer a state, or numpy's ``ValueError`` on operands that no longer
+broadcast) fails the check it raised in, with a NaN residual.
 Two known mutations stay uncaught, since no check compares a non-uniform Weyl
 table with its input: the Weyl phase table ``mult`` negated, and the weights
 read transposed.
@@ -66,6 +67,16 @@ def _shifted_by_plus_l(mp):
     mp.setattr(channels, "_schur_tables", tables)
 
 
+def _shifted_truncated(mp):
+    real = channels._schur_tables
+
+    def tables(d):  # one output position short, so the apply kernel's operands no longer broadcast
+        t = real(d)
+        return t._replace(shifted=t.shifted[:, :-1])
+
+    mp.setattr(channels, "_schur_tables", tables)
+
+
 def _dilation_slot_index_transposed(mp):
     real = weyl.dim_constants
     mp.setattr(channels, "dim_constants", lambda d: real(d)._replace(flat_neg=real(d).flat_neg.T))
@@ -78,6 +89,7 @@ MUTATIONS = {
     "env_gram_transposed": (_env_gram_transposed, {"kraus_vs_partial_trace"}),
     "isometry_conjugated": (_isometry_of_conjugate_gamma, {"weyl_form_consistency"}),
     "shifted_plus_l": (_shifted_by_plus_l, {"kraus_vs_partial_trace"}),
+    "shifted_truncated": (_shifted_truncated, {"depolarizing_limit", "kraus_vs_partial_trace"}),
     "dilation_slot_transposed": (_dilation_slot_index_transposed, {"kraus_vs_partial_trace", "trace_preservation"}),
 }
 
